@@ -14,20 +14,12 @@
 #include "core/pure_drivers.h"
 #include "core/smart_psi.h"
 #include "signature/builders.h"
+#include "util/stats.h"
 #include "util/table_printer.h"
 #include "util/timer.h"
 
 namespace {
 using namespace psi;
-
-double Percentile(std::vector<double> sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const size_t lo = static_cast<size_t>(pos);
-  const size_t hi = std::min(sorted.size() - 1, lo + 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
 
 struct SearchConfigPoint {
   const char* name;
@@ -58,9 +50,8 @@ int main() {
 
   const auto workload = bench::MakeWorkload(g, query_size, queries);
 
-  util::TablePrinter table({"Threads", "Sig build", "Train (serial)",
-                            "Eval (parallel)", "Query total",
-                            "Speedup vs 1"});
+  util::TablePrinter table({"Threads", "Sig build", "Train", "Eval",
+                            "Query total", "Speedup vs 1"});
   double baseline_seconds = 0.0;
   for (const size_t threads : {1u, 2u, 4u, 8u}) {
     core::SmartPsiConfig config;
@@ -88,9 +79,11 @@ int main() {
                   bench::TimeCell(seconds, false, 0), speedup});
   }
   table.Print(std::cout);
-  std::cout << "\nNotes: only the post-training candidate evaluation and the "
-               "signature\nbuild parallelize; training is serial (as in the "
-               "paper), bounding the\nachievable speedup by Amdahl's law. Scaling requires as many\nhardware threads as workers — on a single-core machine all rows tie.\n";
+  std::cout << "\nNotes: signature build, training (ground-truth nodes and "
+               "forest fitting)\nand post-training candidate evaluation all "
+               "parallelize; the per-query\nplan sampling and merges stay "
+               "serial. Scaling requires as many hardware\nthreads as workers "
+               "— on a single-core machine all rows tie.\n";
 
   // --- Search-core tail latency (DESIGN.md §14) ---------------------------
   // Per-query latency distribution of the pure pessimistic driver under the
@@ -132,9 +125,8 @@ int main() {
       stats += result.stats;
     }
     point.total_seconds = timer.Seconds();
-    std::sort(latencies.begin(), latencies.end());
-    point.p50 = Percentile(latencies, 0.50);
-    point.p99 = Percentile(latencies, 0.99);
+    point.p50 = util::Quantile(latencies, 0.50);
+    point.p99 = util::Quantile(latencies, 0.99);
     point.restarts_fired = stats.restarts;
     point.nogood_hits = stats.nogood_hits;
     point.work_steals = stats.work_steals;

@@ -29,13 +29,14 @@ Classifier::Classifier(ClassifierKind kind) : kind_(kind) {
 }
 
 void Classifier::Train(const ml::Dataset& data, size_t num_classes,
-                       size_t hint_trees, util::Rng& rng) {
+                       size_t hint_trees, util::Rng& rng,
+                       util::ThreadPool* pool) {
   switch (kind_) {
     case ClassifierKind::kRandomForest: {
       ml::ForestConfig config;
       config.num_trees = hint_trees;
       std::get<ml::RandomForest>(model_).Train(data, num_classes, config,
-                                               rng);
+                                               rng, pool);
       break;
     }
     case ClassifierKind::kLinearSvm:

@@ -10,6 +10,7 @@
 #include "ml/neural_net.h"
 #include "ml/random_forest.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace psi::core {
 
@@ -31,9 +32,11 @@ class Classifier {
  public:
   explicit Classifier(ClassifierKind kind);
 
-  /// `hint_trees` sizes the Random Forest; ignored by the other kinds.
+  /// `hint_trees` sizes the Random Forest, and `pool` (optional) fits its
+  /// trees in parallel without changing the result; both are ignored by
+  /// the other kinds.
   void Train(const ml::Dataset& data, size_t num_classes, size_t hint_trees,
-             util::Rng& rng);
+             util::Rng& rng, util::ThreadPool* pool = nullptr);
 
   int32_t Predict(std::span<const float> features) const;
 

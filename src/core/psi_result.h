@@ -48,10 +48,17 @@ struct PsiQueryResult {
   /// heuristic plan without limits (state 3).
   size_t plan_fallbacks = 0;
 
-  // --- Timing breakdown (seconds) -----------------------------------------
-  double train_seconds = 0.0;    // ground-truth evaluation + model fitting
-  double predict_seconds = 0.0;  // model / cache consultation
-  double eval_seconds = 0.0;     // candidate evaluation proper
+  // --- Timing breakdown (wall seconds) ------------------------------------
+  /// Ground-truth evaluation of the training nodes plus model fitting.
+  double train_seconds = 0.0;
+  /// Phase 2 (predicted evaluation) is split between model / cache
+  /// consultation and candidate evaluation proper. Its workers time both
+  /// on their own threads, so their sums are CPU time; the phase's wall
+  /// time is divided in proportion to those sums. predict_seconds +
+  /// eval_seconds is therefore phase 2's wall time, neither is negative,
+  /// and train + predict + eval <= total at every thread count.
+  double predict_seconds = 0.0;
+  double eval_seconds = 0.0;
   double total_seconds = 0.0;
 
   /// Fraction of total time spent on ML (Table 4's metric).

@@ -57,7 +57,8 @@ util::Deadline MinDeadline(util::Deadline a, util::Deadline b) {
   return a.RemainingSeconds() <= b.RemainingSeconds() ? a : b;
 }
 
-/// Per-worker accumulation merged after the parallel evaluation phase.
+/// Per-worker accumulation merged after the parallel phases. The seconds
+/// are the worker's own busy time, so they sum to CPU time across workers.
 struct WorkerState {
   std::vector<graph::NodeId> valid;
   match::SearchStats stats;
@@ -68,7 +69,26 @@ struct WorkerState {
   size_t method_recoveries = 0;
   size_t plan_fallbacks = 0;
   double predict_seconds = 0.0;
+  double search_seconds = 0.0;
   bool incomplete = false;
+};
+
+/// One evaluation stack per work-stealing worker, used by both phases:
+/// scratch, evaluator, and a snapshot-salted nogood store (phase 2 only)
+/// each worker consults across its share of the candidates.
+struct EvalWorker {
+  WorkerState state;
+  std::unique_ptr<match::SearchScratchPool::Lease> scratch;
+  std::unique_ptr<PsiEvaluator> evaluator;
+  std::unique_ptr<match::NogoodStore> nogoods;
+};
+
+/// Ground truth for one training node (paper §4.2): whether any plan
+/// finished, the node's type, and the plan that finished fastest.
+struct TrainLabel {
+  bool decided = false;
+  bool valid = false;
+  int32_t best_plan = 0;
 };
 
 }  // namespace
@@ -251,9 +271,26 @@ PsiQueryResult SmartPsiEngine::Evaluate(const graph::QueryGraph& q,
     return result;
   }
 
+  // Work-stealing workers (see parallel_search.h) for both phases:
+  // contiguous initial ranges, idle workers steal the back half of the
+  // busiest victim's range, so one heavy-tailed node no longer strands the
+  // nodes queued behind it. Without a pool everything runs inline.
+  std::vector<EvalWorker> workers(pool_ != nullptr ? pool_->num_threads()
+                                                   : 1);
+  for (EvalWorker& w : workers) {
+    w.scratch =
+        std::make_unique<match::SearchScratchPool::Lease>(&scratch_pool_);
+    w.evaluator =
+        std::make_unique<PsiEvaluator>(*graph_, sigs(), w.scratch->get());
+    w.nogoods = std::make_unique<match::NogoodStore>(cache_salt_);
+  }
+
   // ---------------------------------------------------------------------
   // Phase 1 — training sample: ground-truth labels for Model α, best plans
-  // and per-plan average times for Model β / MaxTime (paper §4.2).
+  // and per-plan average times for Model β / MaxTime (paper §4.2). Nodes
+  // run in parallel, but each node's whole escalation ladder runs on one
+  // worker, so its per-plan timings stay comparable; the outcomes merge in
+  // train_indices order afterwards.
   // ---------------------------------------------------------------------
   util::WallTimer train_timer;
   const size_t want_train = std::clamp<size_t>(
@@ -267,6 +304,80 @@ PsiQueryResult SmartPsiEngine::Evaluate(const graph::QueryGraph& q,
   for (const size_t i : train_indices) is_training[i] = 1;
   result.num_training_nodes = train_indices.size();
 
+  std::vector<TrainLabel> labels(train_indices.size());
+  // Row t holds each plan's finishing time on training node t, or -1 for a
+  // plan that did not finish.
+  std::vector<double> label_seconds(train_indices.size() * num_plans, -1.0);
+  std::atomic<bool> training_aborted{false};
+  auto train_one = [&](size_t t, EvalWorker& worker) {
+    if (training_aborted.load(std::memory_order_relaxed)) return;
+    // Same rationale as the phase-2 check: poll between nodes so cheap
+    // nodes cannot keep starting past an expired deadline.
+    if (deadline.Expired() || stop.StopRequested()) {
+      training_aborted.store(true, std::memory_order_relaxed);
+      return;
+    }
+    PsiEvaluator& trainer = *worker.evaluator;
+    match::SearchStats* stats = &worker.state.stats;
+    const graph::NodeId u = candidates[train_indices[t]];
+    TrainLabel& label = labels[t];
+    double* plan_seconds = &label_seconds[t * num_plans];
+    double best_time = 0.0;
+
+    // Escalating per-plan time limits (paper §4.2.2): try every plan under
+    // a small budget; if none finishes, grow the budget and retry.
+    double limit = config_.plan_time_limit_init_seconds;
+    for (size_t round = 0;
+         round < config_.plan_escalation_rounds && !label.decided; ++round) {
+      for (size_t p = 0; p < num_plans; ++p) {
+        trainer.BindQuery(q, ctx.query_sigs, plan_pool[p]);
+        // Once some plan finished in best_time, a competitor is only
+        // interesting if it beats that — cap its budget accordingly.
+        const double budget =
+            label.decided ? std::min(limit, best_time) : limit;
+        util::WallTimer plan_timer;
+        const Outcome outcome = RunMethod(
+            trainer, u, /*optimistic=*/false, config_.super_optimistic_limit,
+            MinDeadline(util::Deadline::After(budget), deadline), stop,
+            stats);
+        const double seconds = plan_timer.Seconds();
+        if (outcome == Outcome::kValid || outcome == Outcome::kInvalid) {
+          plan_seconds[p] = seconds;
+          if (!label.decided || seconds < best_time) {
+            label.best_plan = static_cast<int32_t>(p);
+            best_time = seconds;
+          }
+          label.valid = outcome == Outcome::kValid;
+          label.decided = true;
+        }
+      }
+      limit *= config_.plan_time_limit_growth;
+      if (deadline.Expired() || stop.StopRequested()) break;
+    }
+    if (!label.decided) {
+      // No plan finished under any limit: heuristic plan, no plan budget.
+      trainer.BindQuery(q, ctx.query_sigs, plan_pool[0]);
+      util::WallTimer plan_timer;
+      const Outcome outcome =
+          RunMethod(trainer, u, /*optimistic=*/false,
+                    config_.super_optimistic_limit, deadline, stop, stats);
+      if (outcome == Outcome::kValid || outcome == Outcome::kInvalid) {
+        plan_seconds[0] = plan_timer.Seconds();
+        label.valid = outcome == Outcome::kValid;
+        label.best_plan = 0;
+        label.decided = true;
+      } else {
+        // Query deadline expired (or a stop arrived) mid-training.
+        training_aborted.store(true, std::memory_order_relaxed);
+      }
+    }
+  };
+  result.search.work_steals += match::RunWorkStealing(
+      train_indices.size(), workers.size(), pool_.get(),
+      [&](size_t item, size_t worker_index) {
+        train_one(item, workers[worker_index]);
+      });
+
   const size_t num_features = sigs().num_labels();
   ml::Dataset alpha_data(num_features);
   ml::Dataset beta_data(num_features);
@@ -274,91 +385,45 @@ PsiQueryResult SmartPsiEngine::Evaluate(const graph::QueryGraph& q,
   beta_data.Reserve(train_indices.size());
   std::vector<util::RunningStats> plan_times(num_plans);
   util::RunningStats all_times;
-
-  match::SearchScratchPool::Lease trainer_scratch(&scratch_pool_);
-  PsiEvaluator trainer(*graph_, sigs(), trainer_scratch.get());
-  bool training_aborted = false;
-  for (const size_t idx : train_indices) {
-    const graph::NodeId u = candidates[idx];
-    bool decided = false;
-    bool node_valid = false;
-    int32_t best_plan = 0;
-    double best_time = 0.0;
-
-    // Escalating per-plan time limits (paper §4.2.2): try every plan under
-    // a small budget; if none finishes, grow the budget and retry.
-    double limit = config_.plan_time_limit_init_seconds;
-    for (size_t round = 0;
-         round < config_.plan_escalation_rounds && !decided; ++round) {
-      for (size_t p = 0; p < num_plans; ++p) {
-        trainer.BindQuery(q, ctx.query_sigs, plan_pool[p]);
-        // Once some plan finished in best_time, a competitor is only
-        // interesting if it beats that — cap its budget accordingly.
-        const double budget =
-            decided ? std::min(limit, best_time) : limit;
-        util::WallTimer plan_timer;
-        const Outcome outcome = RunMethod(
-            trainer, u, /*optimistic=*/false, config_.super_optimistic_limit,
-            MinDeadline(util::Deadline::After(budget), deadline), stop,
-            &result.search);
-        const double seconds = plan_timer.Seconds();
-        if (outcome == Outcome::kValid || outcome == Outcome::kInvalid) {
-          plan_times[p].Add(seconds);
-          all_times.Add(seconds);
-          if (!decided || seconds < best_time) {
-            best_plan = static_cast<int32_t>(p);
-            best_time = seconds;
-          }
-          node_valid = outcome == Outcome::kValid;
-          decided = true;
-        }
-      }
-      limit *= config_.plan_time_limit_growth;
-      if (deadline.Expired() || stop.StopRequested()) break;
+  for (size_t t = 0; t < train_indices.size(); ++t) {
+    const TrainLabel& label = labels[t];
+    if (!label.decided) continue;
+    for (size_t p = 0; p < num_plans; ++p) {
+      const double seconds = label_seconds[t * num_plans + p];
+      if (seconds < 0.0) continue;
+      plan_times[p].Add(seconds);
+      all_times.Add(seconds);
     }
-    if (!decided) {
-      // No plan finished under any limit: heuristic plan, no plan budget.
-      trainer.BindQuery(q, ctx.query_sigs, plan_pool[0]);
-      util::WallTimer plan_timer;
-      const Outcome outcome =
-          RunMethod(trainer, u, /*optimistic=*/false,
-                    config_.super_optimistic_limit, deadline, stop,
-                    &result.search);
-      if (outcome == Outcome::kValid || outcome == Outcome::kInvalid) {
-        plan_times[0].Add(plan_timer.Seconds());
-        all_times.Add(plan_timer.Seconds());
-        node_valid = outcome == Outcome::kValid;
-        best_plan = 0;
-        decided = true;
-      } else {
-        // Query deadline expired mid-training.
-        result.complete = false;
-        training_aborted = true;
-        break;
-      }
-    }
-
+    const graph::NodeId u = candidates[train_indices[t]];
     const auto row = sigs().row(u);
-    alpha_data.AddExample(row, node_valid ? 1 : 0);
-    beta_data.AddExample(row, best_plan);
-    if (node_valid) result.valid_nodes.push_back(u);
+    alpha_data.AddExample(row, label.valid ? 1 : 0);
+    beta_data.AddExample(row, label.best_plan);
+    if (label.valid) result.valid_nodes.push_back(u);
     if (config_.enable_cache) {
       active_cache_->Insert(
           sigs().RowHash(u) ^ cache_key_salt,
-          {node_valid, static_cast<uint32_t>(best_plan), cache_epoch_});
+          {label.valid, static_cast<uint32_t>(label.best_plan),
+           cache_epoch_});
     }
   }
 
+  const bool aborted = training_aborted.load();
   Classifier alpha(config_.classifier);
   Classifier beta(config_.classifier);
-  if (!training_aborted) {
-    alpha.Train(alpha_data, /*num_classes=*/2, config_.forest_trees, rng);
+  if (!aborted) {
+    alpha.Train(alpha_data, /*num_classes=*/2, config_.forest_trees, rng,
+                pool_.get());
     if (config_.enable_plan_model && num_plans > 1) {
-      beta.Train(beta_data, num_plans, config_.forest_trees, rng);
+      beta.Train(beta_data, num_plans, config_.forest_trees, rng,
+                 pool_.get());
     }
   }
   result.train_seconds = train_timer.Seconds();
-  if (training_aborted) {
+  if (aborted) {
+    result.complete = false;
+    for (const EvalWorker& worker : workers) {
+      result.search += worker.state.stats;
+    }
     std::sort(result.valid_nodes.begin(), result.valid_nodes.end());
     expand_twins();
     result.total_seconds = total_timer.Seconds();
@@ -384,16 +449,6 @@ PsiQueryResult SmartPsiEngine::Evaluate(const graph::QueryGraph& q,
   for (size_t i = 0; i < candidates.size(); ++i) {
     if (!is_training[i]) remaining.push_back(i);
   }
-
-  // One evaluation stack per work-stealing worker: scratch, evaluator, and
-  // a snapshot-salted nogood store each worker consults across its share of
-  // the candidates.
-  struct EvalWorker {
-    WorkerState state;
-    std::unique_ptr<match::SearchScratchPool::Lease> scratch;
-    std::unique_ptr<PsiEvaluator> evaluator;
-    std::unique_ptr<match::NogoodStore> nogoods;
-  };
 
   std::atomic<bool> global_incomplete{false};
   auto evaluate_one = [&](size_t r, EvalWorker& worker) {
@@ -450,6 +505,7 @@ PsiQueryResult SmartPsiEngine::Evaluate(const graph::QueryGraph& q,
       ws.predict_seconds += predict_timer.Seconds();
 
       // --- Preemptive execution (3 states) ---------------------------
+      util::WallTimer search_timer;
       const double max_time = config_.timeout_factor * plan_mean[plan_index];
       Outcome outcome;
       uint32_t completed_plan = plan_index;
@@ -498,6 +554,7 @@ PsiQueryResult SmartPsiEngine::Evaluate(const graph::QueryGraph& q,
                             &config_.restarts, worker.nogoods.get());
       }
 
+      ws.search_seconds += search_timer.Seconds();
       if (outcome != Outcome::kValid && outcome != Outcome::kInvalid) {
         // Only the query deadline or a cancellation can get us here.
         ws.incomplete = true;
@@ -522,29 +579,14 @@ PsiQueryResult SmartPsiEngine::Evaluate(const graph::QueryGraph& q,
     }
   };
 
-  // Work-stealing dispatch (see parallel_search.h): contiguous initial
-  // ranges, idle workers steal the back half of the busiest victim's range.
-  // This replaces static 4×-oversubscribed chunking — one heavy-tailed
-  // refutation no longer strands the candidates queued behind it.
-  const size_t num_workers =
-      pool_ != nullptr && remaining.size() > 1
-          ? std::min(remaining.size(), pool_->num_threads())
-          : 1;
-  std::vector<EvalWorker> workers(num_workers);
-  for (EvalWorker& w : workers) {
-    w.scratch =
-        std::make_unique<match::SearchScratchPool::Lease>(&scratch_pool_);
-    w.evaluator =
-        std::make_unique<PsiEvaluator>(*graph_, sigs(), w.scratch->get());
-    w.nogoods = std::make_unique<match::NogoodStore>(cache_salt_);
-  }
-  const uint64_t steals = match::RunWorkStealing(
-      remaining.size(), num_workers, pool_.get(),
+  result.search.work_steals += match::RunWorkStealing(
+      remaining.size(), workers.size(), pool_.get(),
       [&](size_t item, size_t worker_index) {
         evaluate_one(item, workers[worker_index]);
       });
-  result.search.work_steals += steals;
 
+  double predict_busy = 0.0;
+  double search_busy = 0.0;
   for (const EvalWorker& worker : workers) {
     const WorkerState& ws = worker.state;
     result.valid_nodes.insert(result.valid_nodes.end(), ws.valid.begin(),
@@ -556,10 +598,17 @@ PsiQueryResult SmartPsiEngine::Evaluate(const graph::QueryGraph& q,
     result.alpha_correct += ws.alpha_correct;
     result.method_recoveries += ws.method_recoveries;
     result.plan_fallbacks += ws.plan_fallbacks;
-    result.predict_seconds += ws.predict_seconds;
+    predict_busy += ws.predict_seconds;
+    search_busy += ws.search_seconds;
     if (ws.incomplete) result.complete = false;
   }
-  result.eval_seconds = eval_timer.Seconds() - result.predict_seconds;
+  // The workers' busy times sum over threads; split the phase's wall time
+  // in their proportion so predict + eval is wall time at any thread count.
+  const double phase2_seconds = eval_timer.Seconds();
+  const double busy = predict_busy + search_busy;
+  result.predict_seconds =
+      busy > 0.0 ? phase2_seconds * (predict_busy / busy) : 0.0;
+  result.eval_seconds = phase2_seconds - result.predict_seconds;
 
   std::sort(result.valid_nodes.begin(), result.valid_nodes.end());
   expand_twins();

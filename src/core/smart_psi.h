@@ -26,9 +26,11 @@ namespace psi::core {
 ///   1. extracts the candidate pivot bindings,
 ///   2. evaluates a small random sample of them (10%, capped) with the
 ///      pessimistic method to label training data, timing a pool of
-///      execution plans per node under escalating time limits,
+///      execution plans per node under escalating time limits (nodes run
+///      in parallel, each node's plans on one thread),
 ///   3. trains Model α (valid/invalid Random Forest) and Model β
 ///      (best-plan Random Forest) on the neighborhood-signature features,
+///      fitting each forest's trees in parallel,
 ///   4. evaluates every remaining candidate with the predicted method and
 ///      plan under the preemptive 3-state detection-and-recovery executor
 ///      (MaxTime = 2 × AvgT), consulting the signature-keyed prediction

@@ -7,15 +7,17 @@
 namespace psi::ml {
 
 void RandomForest::Train(const Dataset& data, size_t num_classes,
-                         const ForestConfig& config, util::Rng& rng) {
+                         const ForestConfig& config, util::Rng& rng,
+                         util::ThreadPool* pool) {
   std::vector<size_t> all(data.size());
   for (size_t i = 0; i < all.size(); ++i) all[i] = i;
-  Train(data, all, num_classes, config, rng);
+  Train(data, all, num_classes, config, rng, pool);
 }
 
 void RandomForest::Train(const Dataset& data,
                          std::span<const size_t> indices, size_t num_classes,
-                         const ForestConfig& config, util::Rng& rng) {
+                         const ForestConfig& config, util::Rng& rng,
+                         util::ThreadPool* pool) {
   assert(num_classes >= 1);
   num_classes_ = num_classes;
   trees_.assign(config.num_trees, DecisionTree());
@@ -28,22 +30,33 @@ void RandomForest::Train(const Dataset& data,
                    data.num_features())))));
   }
 
-  if (indices.empty()) {
-    for (auto& tree : trees_) {
-      tree.Train(data, {}, num_classes, tree_config, rng);
+  const size_t sample_size =
+      indices.empty()
+          ? 0
+          : std::max<size_t>(
+                1, static_cast<size_t>(static_cast<double>(indices.size()) *
+                                       config.bootstrap_fraction));
+  std::vector<std::vector<size_t>> bootstraps(trees_.size());
+  std::vector<util::Rng> tree_rngs;
+  tree_rngs.reserve(trees_.size());
+  for (std::vector<size_t>& bootstrap : bootstraps) {
+    bootstrap.resize(sample_size);
+    for (size_t& row : bootstrap) {
+      row = indices[rng.NextBounded(indices.size())];
     }
-    return;
+    tree_rngs.push_back(rng.Fork());
   }
 
-  const size_t sample_size = std::max<size_t>(
-      1, static_cast<size_t>(static_cast<double>(indices.size()) *
-                             config.bootstrap_fraction));
-  std::vector<size_t> bootstrap(sample_size);
-  for (auto& tree : trees_) {
-    for (size_t i = 0; i < sample_size; ++i) {
-      bootstrap[i] = indices[rng.NextBounded(indices.size())];
+  const auto train_trees = [&](size_t begin, size_t end) {
+    for (size_t t = begin; t < end; ++t) {
+      trees_[t].Train(data, bootstraps[t], num_classes, tree_config,
+                      tree_rngs[t]);
     }
-    tree.Train(data, bootstrap, num_classes, tree_config, rng);
+  };
+  if (pool != nullptr) {
+    pool->ParallelFor(trees_.size(), train_trees);
+  } else {
+    train_trees(0, trees_.size());
   }
 }
 

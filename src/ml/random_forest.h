@@ -8,6 +8,7 @@
 #include "ml/dataset.h"
 #include "ml/decision_tree.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace psi::ml {
 
@@ -22,15 +23,22 @@ struct ForestConfig {
 /// on-the-fly for node-type prediction (Model α, binary) and plan selection
 /// (Model β, multi-class). Bagged CART trees with sqrt(F) feature
 /// subsampling per split; prediction by soft majority vote.
+///
+/// Training draws every tree's bootstrap sample and its own forked RNG
+/// stream from `rng` serially, in tree order, and only then fits the trees
+/// (across `pool` when given). The fitted forest is therefore a pure
+/// function of (data, rng state) at every pool size, including none.
 class RandomForest {
  public:
   /// Trains on the full dataset. `num_classes` must cover all labels.
   void Train(const Dataset& data, size_t num_classes,
-             const ForestConfig& config, util::Rng& rng);
+             const ForestConfig& config, util::Rng& rng,
+             util::ThreadPool* pool = nullptr);
 
   /// Trains on a subset of rows.
   void Train(const Dataset& data, std::span<const size_t> indices,
-             size_t num_classes, const ForestConfig& config, util::Rng& rng);
+             size_t num_classes, const ForestConfig& config, util::Rng& rng,
+             util::ThreadPool* pool = nullptr);
 
   int32_t Predict(std::span<const float> features) const;
 

@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -71,6 +72,16 @@ void ExpectAllPathsMatchOracle(const graph::Graph& g,
       smart_restarting.Evaluate(q);
   ASSERT_TRUE(smart_restart_result.complete);
   EXPECT_EQ(smart_restart_result.valid_nodes, oracle) << "smart-restarts";
+
+  // The parallel Realist: training nodes, forest fitting and the phase-2
+  // candidates all run on a 4-thread pool.
+  core::SmartPsiConfig parallel_config = config;
+  parallel_config.num_threads = 4;
+  core::SmartPsiEngine smart_parallel(g, parallel_config);
+  const core::PsiQueryResult smart_parallel_result =
+      smart_parallel.Evaluate(q);
+  ASSERT_TRUE(smart_parallel_result.complete);
+  EXPECT_EQ(smart_parallel_result.valid_nodes, oracle) << "smart-parallel4";
 
   // Both pure single-method drivers.
   const auto gs = signature::BuildSignatures(
@@ -193,6 +204,53 @@ TEST_P(DifferentialTest, ParallelSearchIsBitIdenticalToSequential) {
         EXPECT_EQ(result.valid_nodes, reference.valid_nodes)
             << "threads=" << threads << " restarts=" << restarts
             << " repeat=" << repeat;
+      }
+    }
+  }
+}
+
+// Determinism of the parallel Realist (DESIGN.md §14.3): training nodes and
+// phase-2 candidates run on a work-stealing pool and the forests fit their
+// trees across it, yet every thread count must return the same bytes, bare
+// and under chaos. With the cache off, Model α's predictions depend only on
+// the forest, so identical accuracy counters show that the forest itself is
+// the same at every thread count.
+TEST_P(DifferentialTest, RealistIsBitIdenticalAcrossThreadCounts) {
+  const auto [base_seed, query_size] = GetParam();
+  const uint64_t seed = psi::testing::TestSeed(base_seed, query_size * 131);
+  PSI_LOG_TEST_SEED(seed);
+
+  const graph::Graph g = psi::testing::MakeRandomGraph(220, 700, 3, seed);
+  const graph::QueryGraph q =
+      psi::testing::ExtractQuery(g, query_size, seed * 7919 + 3);
+  if (q.num_nodes() != query_size) GTEST_SKIP() << "extraction failed";
+
+  core::SmartPsiConfig config;
+  config.min_candidates_for_ml = 4;
+  config.enable_cache = false;
+  config.seed = seed;
+  core::SmartPsiEngine sequential(g, config);
+  const core::PsiQueryResult reference = sequential.Evaluate(q);
+  ASSERT_TRUE(reference.complete);
+
+  for (const bool chaos : {false, true}) {
+    for (const size_t threads : {1u, 2u, 4u}) {
+      for (int repeat = 0; repeat < 2; ++repeat) {
+        SCOPED_TRACE(::testing::Message()
+                     << "threads=" << threads << " repeat=" << repeat
+                     << (chaos ? " chaos" : " bare"));
+        core::SmartPsiConfig parallel = config;
+        parallel.num_threads = threads;
+        core::SmartPsiEngine engine(g, parallel);
+        std::optional<util::ScopedFaultSpec> faults;
+        if (chaos) faults.emplace(psi::testing::MakeChaosSchedule());
+        const core::PsiQueryResult result = engine.Evaluate(q);
+        ASSERT_TRUE(result.complete);
+        EXPECT_EQ(result.valid_nodes, reference.valid_nodes);
+        if (!chaos) {
+          EXPECT_EQ(result.alpha_predictions, reference.alpha_predictions);
+          EXPECT_EQ(result.alpha_correct, reference.alpha_correct);
+        }
       }
     }
   }

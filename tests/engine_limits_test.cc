@@ -1,8 +1,16 @@
 // Deadline / stop-token / truncation behaviour across all enumeration
-// engines, plus SearchStats aggregation semantics.
+// engines and the Realist's parallel training phase, plus SearchStats
+// aggregation semantics.
+
+#include <algorithm>
+#include <chrono>
+#include <limits>
+#include <thread>
 
 #include <gtest/gtest.h>
 
+#include "core/pure_drivers.h"
+#include "core/smart_psi.h"
 #include "graph/query_extractor.h"
 #include "match/cfl_match.h"
 #include "match/engine.h"
@@ -11,7 +19,9 @@
 #include "match/turbo_iso.h"
 #include "match/ullmann.h"
 #include "match/vf2.h"
+#include "signature/builders.h"
 #include "tests/test_fixtures.h"
+#include "util/timer.h"
 
 namespace psi::match {
 namespace {
@@ -129,6 +139,110 @@ TEST_F(EngineLimitsTest, StopTokenCancelsEnumeration) {
   options.stop = util::StopToken(&source);
   const auto result = engine.Enumerate(q_, nullptr, options);
   EXPECT_FALSE(result.complete);
+}
+
+// The Realist's training phase runs its ground-truth nodes across the
+// engine's work-stealing workers (DESIGN.md §14.3). A deadline or a stop
+// that lands mid-training must abort every worker: the result is marked
+// incomplete, holds only proven answers, and arrives within a bounded
+// overrun. Every candidate is a training node here (train_fraction = 1)
+// and the forests have one tree each, so nearly all of a run is ground-
+// truth evaluation: refuting a 5-cycle through each of ~2000 pivots.
+class RealistTraining : public ::testing::Test {
+ protected:
+  RealistTraining()
+      : g_(psi::testing::MakeRandomGraph(2000, 6000, 1, 83)),
+        q_(CycleQuery(5)) {}
+
+  static graph::QueryGraph CycleQuery(graph::NodeId length) {
+    graph::QueryGraph q;
+    for (graph::NodeId v = 0; v < length; ++v) q.AddNode(0);
+    for (graph::NodeId v = 0; v < length; ++v) {
+      q.AddEdge(v, (v + 1) % length);
+    }
+    q.set_pivot(0);
+    return q;
+  }
+
+  static core::SmartPsiConfig TrainingOnlyConfig() {
+    core::SmartPsiConfig config;
+    config.num_threads = 4;
+    config.min_candidates_for_ml = 4;
+    config.train_fraction = 1.0;
+    config.max_train_nodes = std::numeric_limits<size_t>::max();
+    config.forest_trees = 1;
+    return config;
+  }
+
+  /// The exact answer, from the pessimistic pure driver.
+  std::vector<graph::NodeId> Oracle() const {
+    const auto sigs = signature::BuildSignatures(
+        g_, signature::Method::kMatrix, 2, g_.num_labels());
+    core::PureDriverOptions pure;
+    pure.strategy = core::PureStrategy::kPessimistic;
+    const auto truth = core::EvaluatePure(g_, sigs, q_, pure);
+    EXPECT_TRUE(truth.complete);
+    return truth.valid_nodes;
+  }
+
+  /// Wall seconds of one uninterrupted training-only evaluation, after
+  /// checking that it is complete and exact.
+  double FullRunSeconds(const std::vector<graph::NodeId>& oracle) const {
+    core::SmartPsiEngine engine(g_, TrainingOnlyConfig());
+    const core::PsiQueryResult full = engine.Evaluate(q_);
+    EXPECT_TRUE(full.complete);
+    EXPECT_EQ(full.valid_nodes, oracle);
+    EXPECT_GT(full.num_training_nodes, 1000u);
+    return full.total_seconds;
+  }
+
+  static void ExpectInterruptedSubset(const core::PsiQueryResult& result,
+                                      const std::vector<graph::NodeId>& oracle) {
+    EXPECT_FALSE(result.complete);
+    EXPECT_GT(result.search.recursive_calls, 0u) << "training never started";
+    EXPECT_TRUE(std::is_sorted(result.valid_nodes.begin(),
+                               result.valid_nodes.end()));
+    EXPECT_TRUE(std::includes(oracle.begin(), oracle.end(),
+                              result.valid_nodes.begin(),
+                              result.valid_nodes.end()));
+  }
+
+  graph::Graph g_;
+  graph::QueryGraph q_;
+};
+
+TEST_F(RealistTraining, DeadlineMidTrainingReturnsProvenSubset) {
+  const std::vector<graph::NodeId> oracle = Oracle();
+  const double full_seconds = FullRunSeconds(oracle);
+  const double budget = full_seconds / 4;
+
+  core::SmartPsiEngine engine(g_, TrainingOnlyConfig());
+  util::WallTimer timer;
+  const core::PsiQueryResult result =
+      engine.Evaluate(q_, util::Deadline::After(budget));
+  const double elapsed = timer.Seconds();
+  ExpectInterruptedSubset(result, oracle);
+  EXPECT_LT(elapsed, budget + full_seconds / 2) << "unbounded overrun";
+}
+
+TEST_F(RealistTraining, StopMidTrainingReturnsProvenSubset) {
+  const std::vector<graph::NodeId> oracle = Oracle();
+  const double full_seconds = FullRunSeconds(oracle);
+  const double fire_after = full_seconds / 4;
+
+  core::SmartPsiEngine engine(g_, TrainingOnlyConfig());
+  util::StopSource source;
+  util::WallTimer timer;
+  std::thread stopper([&source, fire_after] {
+    std::this_thread::sleep_for(std::chrono::duration<double>(fire_after));
+    source.RequestStop();
+  });
+  const core::PsiQueryResult result =
+      engine.Evaluate(q_, util::Deadline(), util::StopToken(&source));
+  const double elapsed = timer.Seconds();
+  stopper.join();
+  ExpectInterruptedSubset(result, oracle);
+  EXPECT_LT(elapsed, fire_after + full_seconds / 2) << "unbounded overrun";
 }
 
 TEST(SearchStatsTest, AggregationSumsAllCounters) {

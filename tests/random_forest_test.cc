@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "ml/metrics.h"
+#include "util/thread_pool.h"
 
 namespace psi::ml {
 namespace {
@@ -85,6 +86,40 @@ TEST(RandomForestTest, DeterministicGivenSeed) {
   b.Train(data, 2, ForestConfig(), rng_b);
   for (size_t i = 0; i < data.size(); ++i) {
     EXPECT_EQ(a.Predict(data.row(i)), b.Predict(data.row(i)));
+  }
+}
+
+// Fitting the trees across a pool must not change the forest: every tree's
+// bootstrap sample and RNG stream are drawn serially before any tree is
+// fitted, so no pool, and pools of 1, 2 and 4 threads, give identical votes
+// and leave the caller's generator in the same state.
+TEST(RandomForestTest, PoolSizeNeverChangesTheForest) {
+  util::Rng rng_data(8);
+  const Dataset data = MakeBlobs(400, rng_data);
+  ForestConfig config;
+  config.num_trees = 23;  // not a multiple of any pool size
+
+  util::Rng rng_serial(17);
+  RandomForest serial;
+  serial.Train(data, 2, config, rng_serial);
+  const uint64_t serial_next = rng_serial.Next();
+
+  for (const size_t threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE(threads);
+    util::ThreadPool pool(threads);
+    util::Rng rng(17);
+    RandomForest forest;
+    forest.Train(data, 2, config, rng, &pool);
+    EXPECT_EQ(rng.Next(), serial_next);
+    ASSERT_EQ(forest.num_trees(), serial.num_trees());
+    for (int xi = -15; xi <= 25; ++xi) {
+      for (int yi = -15; yi <= 15; ++yi) {
+        const std::vector<float> point{0.1f * static_cast<float>(xi),
+                                       0.1f * static_cast<float>(yi)};
+        ASSERT_EQ(forest.Predict(point), serial.Predict(point));
+        ASSERT_EQ(forest.PredictProba(point), serial.PredictProba(point));
+      }
+    }
   }
 }
 

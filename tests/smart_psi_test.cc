@@ -1,5 +1,6 @@
 #include "core/smart_psi.h"
 
+#include <ostream>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -87,6 +88,16 @@ struct ConfigCase {
   size_t threads;
   signature::Method method;
 };
+
+// gtest would otherwise print ConfigCase as a byte dump whose padding bytes
+// are uninitialized, so the test names (ctest discovers them from the
+// printed parameter) changed from build to build.
+void PrintTo(const ConfigCase& c, std::ostream* os) {
+  *os << signature::MethodName(c.method) << "/t" << c.threads
+      << (c.cache ? "/cache" : "/no-cache")
+      << (c.preemption ? "/preempt" : "/no-preempt")
+      << (c.plan_model ? "/plan" : "/no-plan");
+}
 
 class SmartPsiExactnessTest
     : public ::testing::TestWithParam<std::tuple<uint64_t, ConfigCase>> {};
@@ -240,6 +251,41 @@ TEST(SmartPsiTest, MlPathReportsAccuracyAndTiming) {
   EXPECT_GT(result.train_seconds, 0.0);
   EXPECT_GE(result.MlOverheadFraction(), 0.0);
   EXPECT_LE(result.MlOverheadFraction(), 1.0);
+}
+
+// Phase-2 workers time prediction and search on their own threads, so
+// their sums are CPU time. The reported split scales them onto the phase's
+// wall time: at 4 threads eval_seconds stays non-negative and the phases
+// still fit inside the query's wall time (Table 4's denominator). Big
+// forests and small queries make prediction the larger share of each
+// worker's time, where summed CPU time would exceed the wall time.
+TEST(SmartPsiTest, TimingSplitStaysWallTimeUnderParallelPhases) {
+  const graph::Graph g = psi::testing::MakeRandomGraph(2000, 6000, 3, 71);
+  SmartPsiConfig config;
+  config.min_candidates_for_ml = 8;
+  config.max_train_nodes = 40;
+  config.forest_trees = 256;
+  config.enable_cache = false;
+  config.num_threads = 4;
+  SmartPsiEngine engine(g, config);
+  graph::QueryExtractor extractor(g);
+  util::Rng rng(72);
+  size_t evaluated = 0;
+  for (int i = 0; i < 6; ++i) {
+    const graph::QueryGraph q = extractor.Extract(3, rng);
+    if (q.num_nodes() != 3u) continue;
+    const PsiQueryResult result = engine.Evaluate(q);
+    ASSERT_TRUE(result.complete);
+    if (result.num_training_nodes == 0) continue;
+    ++evaluated;
+    EXPECT_GE(result.predict_seconds, 0.0);
+    EXPECT_GE(result.eval_seconds, 0.0);
+    EXPECT_LE(result.train_seconds + result.predict_seconds +
+                  result.eval_seconds,
+              result.total_seconds + 1e-6);
+    EXPECT_LE(result.MlOverheadFraction(), 1.0);
+  }
+  EXPECT_GT(evaluated, 0u);
 }
 
 TEST(SmartPsiTest, CacheHitsAccumulateAcrossQueries) {
