@@ -122,22 +122,6 @@ SmartPsiEngine::SmartPsiEngine(SmartPsiConfig config)
 }
 
 SmartPsiEngine::SmartPsiEngine(const graph::Graph& g,
-                               signature::SignatureMatrix graph_sigs,
-                               SmartPsiConfig config)
-    : graph_(&g), config_(config), rng_(config.seed) {
-  assert(graph_sigs.num_rows() == g.num_nodes());
-  assert(graph_sigs.num_labels() >= g.num_labels());
-  if (config_.num_threads > 1) {
-    pool_ = std::make_unique<util::ThreadPool>(config_.num_threads);
-  }
-  // Query signatures must be built exactly like the adopted graph ones.
-  config_.signature_method = graph_sigs.method();
-  config_.signature_depth = graph_sigs.depth();
-  config_.signature_decay = graph_sigs.decay();
-  graph_sigs_ = std::move(graph_sigs);
-}
-
-SmartPsiEngine::SmartPsiEngine(const graph::Graph& g,
                                const signature::SignatureMatrix* shared_sigs,
                                SmartPsiConfig config)
     : graph_(&g), config_(config), sigs_view_(shared_sigs), rng_(config.seed) {
@@ -160,7 +144,7 @@ void SmartPsiEngine::Rebind(const graph::Graph& g,
   assert(sigs->num_labels() >= g.num_labels());
   graph_ = &g;
   sigs_view_ = sigs;
-  graph_sigs_ = signature::SignatureMatrix();  // drop any adopted matrix
+  graph_sigs_ = signature::SignatureMatrix();  // drop any self-built matrix
   equivalence_.reset();  // memoized partition belongs to the old graph
   config_.signature_method = sigs->method();
   config_.signature_depth = sigs->depth();

@@ -55,18 +55,10 @@ class SmartPsiEngine {
   /// once and rebound to whichever pinned snapshot each request resolved.
   explicit SmartPsiEngine(SmartPsiConfig config);
 
-  /// Adopts precomputed graph signatures (e.g. loaded with
-  /// signature::LoadSignatureFile) instead of building them. The config's
-  /// signature method/depth/decay are overridden from the matrix metadata;
-  /// the matrix must have one row per node of `g` and at least
-  /// g.num_labels() columns.
-  SmartPsiEngine(const graph::Graph& g, signature::SignatureMatrix graph_sigs,
-                 SmartPsiConfig config = SmartPsiConfig());
-
   /// Shares caller-owned precomputed signatures without copying them — the
   /// constructor a query service uses to fan one matrix out to many
-  /// per-worker engines. `shared_sigs` must outlive the engine and satisfy
-  /// the same shape requirements as the adopting constructor; the config's
+  /// per-worker engines. `shared_sigs` must outlive the engine, have one row
+  /// per node of `g` and at least g.num_labels() columns; the config's
   /// signature method/depth/decay are overridden from the matrix metadata.
   SmartPsiEngine(const graph::Graph& g,
                  const signature::SignatureMatrix* shared_sigs,

@@ -107,13 +107,6 @@ void MetricsRegistry::RecordOutcome(const QueryResponse& response,
   latencies_.Record(response.latency_seconds);
 }
 
-void MetricsRegistry::EnableShardCounters(size_t num_shards) {
-  shard_slots_ = num_shards == 0
-                     ? nullptr
-                     : std::make_unique<ShardSlot[]>(num_shards);
-  num_shard_slots_ = num_shards;
-}
-
 MetricsSnapshot MetricsRegistry::Snapshot() const {
   // Read order is the reverse of the write order in RecordOutcome so the
   // snapshot invariants hold under concurrent writers: the latency window
@@ -150,17 +143,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   s.batch_queries = batch_queries_.load(std::memory_order_relaxed);
   s.batch_context_hits = batch_context_hits_.load(std::memory_order_relaxed);
   s.batch_degraded = batch_degraded_.load(std::memory_order_relaxed);
-  // Per-shard counters: settled before admitted, mirroring the flat read
-  // order, so shard settled <= shard admitted holds in every snapshot.
-  s.shards.resize(num_shard_slots_);
-  for (size_t k = 0; k < num_shard_slots_; ++k) {
-    s.shards[k].cross_shard_forwards =
-        shard_slots_[k].forwards.load(std::memory_order_relaxed);
-    s.shards[k].settled =
-        shard_slots_[k].settled.load(std::memory_order_acquire);
-    s.shards[k].admitted =
-        shard_slots_[k].admitted.load(std::memory_order_relaxed);
-  }
   s.admitted = admitted_.load(std::memory_order_relaxed);
   s.rejected = rejected_.load(std::memory_order_relaxed);
   return s;
@@ -200,11 +182,6 @@ std::string MetricsSnapshot::ToString() const {
       << " p95=" << util::FormatDuration(latency.p95)
       << " p99=" << util::FormatDuration(latency.p99)
       << " max=" << util::FormatDuration(latency.max);
-  for (size_t k = 0; k < shards.size(); ++k) {
-    oss << "\nshard " << k << ": admitted=" << shards[k].admitted
-        << " settled=" << shards[k].settled
-        << " cross_shard_forwards=" << shards[k].cross_shard_forwards;
-  }
   return oss.str();
 }
 

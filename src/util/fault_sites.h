@@ -27,10 +27,8 @@ inline constexpr char kSmartPlanMispredict[] = "smart.plan.mispredict";
 inline constexpr char kSmartPreemptExpire[] = "smart.preempt.expire";
 inline constexpr char kThreadPoolTaskStart[] = "threadpool.task.start";
 inline constexpr char kCatalogPublish[] = "catalog.publish";
-inline constexpr char kCatalogShardPublish[] = "catalog.shard_publish";
 inline constexpr char kGraphIoShortRead[] = "io.graph.short_read";
 inline constexpr char kQueryIoShortRead[] = "io.query.short_read";
-inline constexpr char kSignatureIoShortRead[] = "io.signature.short_read";
 inline constexpr char kWorkloadShortRead[] = "io.workload.short_read";
 inline constexpr char kSnapshotLoad[] = "snapshot.load";
 inline constexpr char kServiceBatch[] = "service.batch";

@@ -1,7 +1,8 @@
 // Differential correctness harness (DESIGN.md §11): every evaluation path
 // in the repository — the Realist (SmartPSI), both pure single-method
-// drivers, and all four enumeration engines — must produce the exact pivot
-// set that brute-force enumerate-and-project produces, on the same inputs.
+// drivers, all four enumeration engines, and the query service (single
+// requests and one batch) — must produce the exact pivot set that
+// brute-force enumerate-and-project produces, on the same inputs.
 // Each comparison then runs again under the standard chaos schedule: an
 // injected fault may change counters and latency, never the answer. In
 // injection-OFF builds the chaos pass degenerates to a repeat run, which
@@ -9,6 +10,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <future>
 #include <optional>
 #include <string>
 #include <tuple>
@@ -23,6 +25,8 @@
 #include "match/turbo_iso.h"
 #include "match/ullmann.h"
 #include "match/vf2.h"
+#include "service/request.h"
+#include "service/service.h"
 #include "signature/builders.h"
 #include "tests/test_fixtures.h"
 #include "util/fault_injection.h"
@@ -144,6 +148,44 @@ void ExpectAllPathsMatchOracle(const graph::Graph& g,
   EXPECT_EQ(vf2.ProjectPivot(q, match::MatchingEngine::Options()).pivot_matches,
             oracle)
       << "vf2";
+
+  // The serving path: PsiService::Execute for every method, then one
+  // SubmitBatch carrying both pure methods (the shared-context batch path).
+  service::ServiceOptions service_options;
+  service_options.num_workers = 2;
+  service_options.engine.min_candidates_for_ml = 4;
+  service_options.engine.seed = seed;
+  service::PsiService psi_service(g, service_options);
+  for (const service::Method method :
+       {service::Method::kSmart, service::Method::kOptimistic,
+        service::Method::kPessimistic}) {
+    service::QueryRequest request;
+    request.query = q;
+    request.method = method;
+    const service::QueryResponse response =
+        psi_service.Execute(std::move(request));
+    ASSERT_EQ(response.status, service::RequestStatus::kOk)
+        << "service-" << service::MethodName(method);
+    EXPECT_EQ(response.valid_nodes, oracle)
+        << "service-" << service::MethodName(method);
+  }
+  service::BatchRequest batch;
+  for (const service::Method method :
+       {service::Method::kOptimistic, service::Method::kPessimistic}) {
+    service::QueryRequest member;
+    member.query = q;
+    member.method = method;
+    batch.queries.push_back(std::move(member));
+  }
+  std::optional<std::future<service::BatchResponse>> batch_future =
+      psi_service.SubmitBatch(std::move(batch));
+  ASSERT_TRUE(batch_future.has_value()) << "service-batch rejected";
+  const service::BatchResponse batch_response = batch_future->get();
+  ASSERT_EQ(batch_response.responses.size(), 2u);
+  for (const service::QueryResponse& member : batch_response.responses) {
+    ASSERT_EQ(member.status, service::RequestStatus::kOk) << "service-batch";
+    EXPECT_EQ(member.valid_nodes, oracle) << "service-batch";
+  }
 }
 
 TEST_P(DifferentialTest, EveryPathMatchesBruteForceWithAndWithoutFaults) {

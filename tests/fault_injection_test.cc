@@ -19,7 +19,6 @@
 #include "core/smart_psi.h"
 #include "service/request.h"
 #include "service/service.h"
-#include "shard/sharded_service.h"
 #include "tests/test_fixtures.h"
 #include "util/timer.h"
 
@@ -390,26 +389,43 @@ TEST_F(FaultInjectionTest, PoisonedCacheTriggersBypassAndRecovers) {
   EXPECT_GE(stats.metrics.cache_bypass_exits, 1u);
 }
 
-// The service.worker.stall site deschedules the sharded router between
-// dequeue and execution — latency moves, the answer must not (DESIGN.md
-// §11's core corollary).
+// The service.worker.stall site deschedules a worker between dequeue and
+// execution, on the single-request path (Run) and on the batch path
+// (RunBatch) alike — latency moves, the answer must not (DESIGN.md §11's
+// core corollary).
 TEST_F(FaultInjectionTest, WorkerStallDelaysEvaluationNotTheAnswer) {
   const graph::Graph g = psi::testing::MakeFigure1Graph();
-  shard::ShardedServiceOptions options;
+  service::ServiceOptions options;
   options.num_workers = 2;
-  options.build.partition.num_shards = 2;
-  options.build.snapshot.signature_depth = 2;
-  shard::ShardedPsiService service(g, options);
+  service::PsiService service(g, options);
+  const std::vector<graph::NodeId> expected = {0, 5};
 
-  ScopedFaultSpec chaos("service.worker.stall=always@2");
-  service::QueryRequest request;
-  request.query = psi::testing::MakeFigure1Query();
-  const service::QueryResponse response = service.Execute(std::move(request));
-  EXPECT_EQ(response.status, service::RequestStatus::kOk);
-  EXPECT_EQ(response.valid_nodes, (std::vector<graph::NodeId>{0, 5}));
-  const auto stats =
-      FaultInjector::Global().Stats(util::faults::kServiceWorkerStall);
-  EXPECT_GE(stats.fires, 1u);
+  {
+    ScopedFaultSpec chaos("service.worker.stall=always@2");
+    const service::QueryResponse response =
+        service.Execute(SmartRequest(psi::testing::MakeFigure1Query()));
+    EXPECT_EQ(response.status, service::RequestStatus::kOk);
+    EXPECT_EQ(response.valid_nodes, expected);
+    EXPECT_GE(
+        FaultInjector::Global().Stats(util::faults::kServiceWorkerStall).fires,
+        1u);
+  }
+  {
+    ScopedFaultSpec chaos("service.worker.stall=always@2");
+    service::BatchRequest batch;
+    service::QueryRequest member;
+    member.query = psi::testing::MakeFigure1Query();
+    member.method = service::Method::kPessimistic;
+    batch.queries.push_back(std::move(member));
+    const service::BatchResponse response =
+        service.ExecuteBatch(std::move(batch));
+    ASSERT_EQ(response.responses.size(), 1u);
+    EXPECT_EQ(response.responses[0].status, service::RequestStatus::kOk);
+    EXPECT_EQ(response.responses[0].valid_nodes, expected);
+    EXPECT_GE(
+        FaultInjector::Global().Stats(util::faults::kServiceWorkerStall).fires,
+        1u);
+  }
 }
 
 #else  // !PSI_FAULT_INJECTION_ENABLED

@@ -276,82 +276,5 @@ TEST(MetricsSnapshotTest, SearchCoreCountersAggregate) {
   EXPECT_EQ(s.work_steals, 22u);
 }
 
-// --- Per-shard labeled counters (DESIGN.md §13) ----------------------------
-
-TEST(ShardCountersTest, DisabledByDefaultAndFlatContractUnchanged) {
-  MetricsRegistry metrics;
-  EXPECT_EQ(metrics.num_shards(), 0u);
-  metrics.RecordAdmitted();
-  metrics.RecordOutcome(MakeResponse(RequestStatus::kOk, 1e-3));
-  const MetricsSnapshot s = metrics.Snapshot();
-  EXPECT_TRUE(s.shards.empty()) << "flat consumers see no shard dimension";
-  EXPECT_EQ(s.admitted, 1u);
-  EXPECT_EQ(s.Settled(), 1u);
-  EXPECT_EQ(s.ToString().find("shard "), std::string::npos);
-}
-
-TEST(ShardCountersTest, SnapshotRoundTripsPerShardCounters) {
-  MetricsRegistry metrics;
-  metrics.EnableShardCounters(3);
-  ASSERT_EQ(metrics.num_shards(), 3u);
-  for (int request = 0; request < 5; ++request) {
-    metrics.RecordAdmitted();
-    for (size_t shard = 0; shard < 3; ++shard) {
-      metrics.RecordShardAdmitted(shard);
-      metrics.RecordShardForwards(shard, shard * 10);
-      metrics.RecordShardSettled(shard);
-    }
-    metrics.RecordOutcome(MakeResponse(RequestStatus::kOk, 1e-3));
-  }
-  const MetricsSnapshot s = metrics.Snapshot();
-  ASSERT_EQ(s.shards.size(), 3u);
-  for (size_t shard = 0; shard < 3; ++shard) {
-    EXPECT_EQ(s.shards[shard].admitted, 5u);
-    EXPECT_EQ(s.shards[shard].settled, 5u);
-    EXPECT_EQ(s.shards[shard].cross_shard_forwards, shard * 10 * 5);
-  }
-  // Flat counters are untouched by the shard dimension.
-  EXPECT_EQ(s.admitted, 5u);
-  EXPECT_EQ(s.Settled(), 5u);
-  const std::string text = s.ToString();
-  EXPECT_NE(text.find("shard 0:"), std::string::npos);
-  EXPECT_NE(text.find("shard 2:"), std::string::npos);
-  EXPECT_NE(text.find("cross_shard_forwards=100"), std::string::npos);
-}
-
-TEST(ShardCountersTest, ConcurrentShardRecordsNeverTearInvariants) {
-  MetricsRegistry metrics;
-  metrics.EnableShardCounters(2);
-  constexpr int kWriters = 4;
-  constexpr int kPerWriter = 4000;
-  std::vector<std::thread> writers;
-  writers.reserve(kWriters);
-  for (int t = 0; t < kWriters; ++t) {
-    writers.emplace_back([&metrics] {
-      for (int i = 0; i < kPerWriter; ++i) {
-        const size_t shard = static_cast<size_t>(i) % 2;
-        metrics.RecordShardAdmitted(shard);
-        metrics.RecordShardForwards(shard, 1);
-        metrics.RecordShardSettled(shard);
-      }
-    });
-  }
-  // Per-shard settled must never be observed above admitted mid-run.
-  for (int round = 0; round < 2000; ++round) {
-    const MetricsSnapshot s = metrics.Snapshot();
-    for (const ShardCounterSnapshot& shard : s.shards) {
-      ASSERT_LE(shard.settled, shard.admitted);
-    }
-  }
-  for (auto& writer : writers) writer.join();
-  const MetricsSnapshot s = metrics.Snapshot();
-  ASSERT_EQ(s.shards.size(), 2u);
-  for (const ShardCounterSnapshot& shard : s.shards) {
-    EXPECT_EQ(shard.admitted, static_cast<uint64_t>(kWriters) * kPerWriter / 2);
-    EXPECT_EQ(shard.settled, shard.admitted);
-    EXPECT_EQ(shard.cross_shard_forwards, shard.admitted);
-  }
-}
-
 }  // namespace
 }  // namespace psi::service

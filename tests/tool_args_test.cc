@@ -1,7 +1,7 @@
 // Regression tests for the strict tool argument parser. The bug this
 // locks out: the tools' historical parsers treated ANY "--x" as a
-// value-taking option, so an unknown flag (e.g. --shards before sharding
-// existed, or a typo like --sharsd) silently swallowed the next argv and
+// value-taking option, so an unknown flag (e.g. --shards, which no tool
+// takes, or a typo like --sharsd) silently swallowed the next argv and
 // the run proceeded with default settings instead of failing.
 
 #include <string>
