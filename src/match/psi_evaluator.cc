@@ -114,12 +114,8 @@ bool PsiEvaluator::ShouldAbort(const Options& options, Outcome* outcome) {
   return false;
 }
 
-void PsiEvaluator::GenerateCandidates(size_t level, SearchStats* stats) {
-  SearchScratch& s = *scratch_;
-  const graph::NodeId v = s.plan.order[level];
-  auto& out = s.level_candidates[level];
-  out.clear();
-
+PsiEvaluator::LevelScan PsiEvaluator::BeginScan(size_t level) const {
+  const SearchScratch& s = *scratch_;
   const BackwardNeighbor* anchors =
       s.backward_flat.data() + s.backward_offsets[level];
   const size_t num_anchors =
@@ -137,34 +133,60 @@ void PsiEvaluator::GenerateCandidates(size_t level, SearchStats* stats) {
       anchor_index = i;
     }
   }
-  const BackwardNeighbor anchor = anchors[anchor_index];
-  const graph::NodeId anchor_image = s.mapping[anchor.query_node];
+  const graph::NodeId anchor_image =
+      s.mapping[anchors[anchor_index].query_node];
+  const auto nbrs = graph_.neighbors(anchor_image);
+  return {nbrs.data(), nbrs.data() + nbrs.size(),
+          graph_.edge_labels(anchor_image).data(), anchor_index};
+}
 
+bool PsiEvaluator::NextCandidate(size_t level, LevelScan& scan,
+                                 bool check_signature, SearchStats* stats,
+                                 graph::NodeId* out) {
+  const SearchScratch& s = *scratch_;
+  const BackwardNeighbor* anchors =
+      s.backward_flat.data() + s.backward_offsets[level];
+  const size_t num_anchors =
+      s.backward_offsets[level + 1] - s.backward_offsets[level];
+  const graph::Label want_edge_label = anchors[scan.anchor_index].edge_label;
+  const graph::NodeId v = s.plan.order[level];
   const graph::Label want_label = query_->label(v);
   const size_t want_degree = query_->degree(v);
 
-  const auto nbrs = graph_.neighbors(anchor_image);
-  const auto edge_labels = graph_.edge_labels(anchor_image);
-  for (size_t i = 0; i < nbrs.size(); ++i) {
-    const graph::NodeId c = nbrs[i];
+  while (scan.next != scan.end) {
+    const graph::NodeId c = *scan.next++;
+    const graph::Label edge_label = *scan.next_edge_label++;
     if (stats != nullptr) ++stats->candidates_examined;
-    if (edge_labels[i] != anchor.edge_label) continue;
+    if (edge_label != want_edge_label) continue;
     if (graph_.label(c) != want_label) continue;
     if (graph_.degree(c) < want_degree) continue;
     if (IsUsed(c, level)) continue;
     // Verify edges to the remaining mapped query neighbors.
     bool consistent = true;
     for (size_t a = 0; a < num_anchors; ++a) {
-      if (a == anchor_index) continue;
-      const auto edge_label =
+      if (a == scan.anchor_index) continue;
+      const auto label =
           graph_.EdgeLabelBetween(s.mapping[anchors[a].query_node], c);
-      if (!edge_label.has_value() || *edge_label != anchors[a].edge_label) {
+      if (!label.has_value() || *label != anchors[a].edge_label) {
         consistent = false;
         break;
       }
     }
-    if (consistent) out.push_back(c);
+    if (!consistent) continue;
+    if (check_signature) {
+      // Line 7 (pessimist): prune candidates whose neighborhood signature
+      // cannot satisfy the query node's signature (Proposition 3.2).
+      if (stats != nullptr) ++stats->signature_checks;
+      if (!signature::CandidateSatisfies(graph_sigs_, s.level_reqs[level],
+                                         c)) {
+        if (stats != nullptr) ++stats->pruned_by_signature;
+        continue;
+      }
+    }
+    *out = c;
+    return true;
   }
+  return false;
 }
 
 Outcome PsiEvaluator::Search(size_t level, const Options& options,
@@ -189,48 +211,58 @@ Outcome PsiEvaluator::Search(size_t level, const Options& options,
   }
 
   const graph::NodeId v = s.plan.order[level];
-  GenerateCandidates(level, stats);
   auto& candidates = s.level_candidates[level];
-  const signature::SparseRequirement& req = s.level_reqs[level];
-
-  if (options.mode == PsiMode::kPessimistic) {
-    // Line 7 (pessimist): prune candidates whose neighborhood signature
-    // cannot satisfy the query node's signature (Proposition 3.2) — one
-    // kernel sweep over the whole list instead of a check per candidate.
-    if (stats != nullptr) stats->signature_checks += candidates.size();
-    const size_t pruned =
-        signature::FilterCandidates(graph_sigs_, req, candidates);
-    if (stats != nullptr) stats->pruned_by_signature += pruned;
-    // Restart runs past the first perturb the value ordering so a rerun
-    // explores the heavy-tailed space in a different order (the point of
-    // restarting). The pessimist's base order carries no heuristic, so
-    // shuffling loses nothing.
-    if (perturb_seed_ != 0 && candidates.size() > 1) {
-      util::Rng rng(perturb_seed_ ^
-                    (0x9e3779b97f4a7c15ULL * (static_cast<uint64_t>(level) + 1)));
-      util::Shuffle(candidates, rng);
+  candidates.clear();
+  LevelScan scan = BeginScan(level);
+  const bool pessimist = options.mode == PsiMode::kPessimistic;
+  // The plain pessimist visits each candidate as soon as the scan yields
+  // it, so the first embedding also ends the scan. Every other run reorders
+  // its candidates and so takes them up front: the optimists rank them and
+  // restart runs shuffle them.
+  const bool streaming = pessimist && perturb_seed_ == 0;
+  if (!streaming) {
+    // Line 4 (super optimist): only the first super_optimistic_limit
+    // candidates are kept, so the scan stops there and sorting work is
+    // bounded too.
+    const size_t limit = options.mode == PsiMode::kSuperOptimistic
+                             ? options.super_optimistic_limit
+                             : SIZE_MAX;
+    graph::NodeId c = graph::kInvalidNode;
+    while (candidates.size() < limit &&
+           NextCandidate(level, scan, pessimist, stats, &c)) {
+      candidates.push_back(c);
     }
-  } else {
-    // Line 4 (super optimistic): cap the candidate list *before* sorting
-    // so the sorting overhead is bounded too; line 5 (optimist): visit
-    // high satisfiability scores first.
-    const bool capped = options.mode == PsiMode::kSuperOptimistic;
-    const size_t limit = capped ? options.super_optimistic_limit : SIZE_MAX;
-    const size_t effective = std::min(candidates.size(), limit);
-    if (effective > 1) {
-      signature::ScoreAndRank(graph_sigs_, req, candidates, s.rank,
-                              capped ? limit : 0,
-                              capped ? signature::RankMode::kCapFirst
-                                     : signature::RankMode::kFull);
+    if (pessimist) {
+      // Restart runs past the first perturb the value ordering so a rerun
+      // explores the heavy-tailed space in a different order (the point of
+      // restarting). The pessimist's base order carries no heuristic, so
+      // shuffling loses nothing.
+      if (candidates.size() > 1) {
+        util::Rng rng(perturb_seed_ ^
+                      (0x9e3779b97f4a7c15ULL *
+                       (static_cast<uint64_t>(level) + 1)));
+        util::Shuffle(candidates, rng);
+      }
+    } else if (candidates.size() > 1) {
+      // Line 5 (optimist): visit high satisfiability scores first.
+      signature::ScoreAndRank(graph_sigs_, s.level_reqs[level], candidates,
+                              s.rank);
       if (stats != nullptr) ++stats->score_sorts;
-    } else if (candidates.size() > effective) {
-      candidates.resize(effective);
     }
   }
 
   const bool consult_nogoods = nogoods_ != nullptr && !nogoods_->empty() &&
                                level + 1 <= nogoods_->limits().max_prefix_length;
-  for (size_t idx = 0; idx < candidates.size(); ++idx) {
+  for (size_t idx = 0;; ++idx) {
+    if (idx == candidates.size()) {
+      // Every visited candidate stays in the buffer: RecordNogoods reads
+      // the exhausted prefix [0, level_index) back from it.
+      graph::NodeId next = graph::kInvalidNode;
+      if (!streaming || !NextCandidate(level, scan, true, stats, &next)) {
+        break;
+      }
+      candidates.push_back(next);
+    }
     const graph::NodeId c = candidates[idx];
     s.level_index[level] = idx;
     if (consult_nogoods &&
@@ -246,8 +278,8 @@ Outcome PsiEvaluator::Search(size_t level, const Options& options,
     s.mapping[v] = graph::kInvalidNode;
     s.mapped_stack[level] = graph::kInvalidNode;
     if (result != Outcome::kInvalid) return result;
-    // `candidates` references this level's buffer, which deeper levels
-    // never touch — safe to continue iterating.
+    // `candidates` and the scan belong to this level, which deeper levels
+    // never touch — safe to continue.
   }
   return Outcome::kInvalid;
 }
@@ -304,8 +336,8 @@ Outcome PsiEvaluator::EvaluateNode(graph::NodeId candidate,
   }
   if (options.mode == PsiMode::kPessimistic && !options.pivot_prefiltered) {
     if (stats != nullptr) ++stats->signature_checks;
-    if (!signature::internal::RowSatisfies(graph_sigs_.row(candidate),
-                                           s.level_reqs[0])) {
+    if (!signature::CandidateSatisfies(graph_sigs_, s.level_reqs[0],
+                                       candidate)) {
       if (stats != nullptr) ++stats->pruned_by_signature;
       return Outcome::kInvalid;
     }

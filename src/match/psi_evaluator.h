@@ -42,10 +42,14 @@ const char* PsiModeName(PsiMode mode);
 ///   for (NodeId u : candidates)
 ///     if (eval.EvaluateNode(u, opts, &stats) == Outcome::kValid) ...
 ///
-/// Per-level signature work runs through the batched kernels of
-/// src/signature/kernels.h over sparse per-query-node requirement views,
-/// so satisfaction filtering and score ranking cost O(nnz) per candidate
-/// and sweep whole candidate lists in one pass (DESIGN.md §9).
+/// Each search level scans the adjacency of one mapped neighbor's image
+/// and resumes that scan only when it needs another candidate: the
+/// pessimist visits a candidate as soon as it passes the signature check,
+/// and the super-optimist stops at its cap; only the full optimist and
+/// restart runs drain the scan, to rank or shuffle the whole list.
+/// Signature work runs through src/signature/kernels.h over sparse
+/// per-query-node requirement views, so satisfaction tests and score
+/// ranking cost O(nnz) per candidate (DESIGN.md §9).
 ///
 /// All mutable state lives in a SearchScratch arena: pass one in to reuse
 /// buffers across evaluator instances (the SmartPSI engine pools them per
@@ -128,9 +132,29 @@ class PsiEvaluator {
   /// sibling candidate heads a subtree proven empty.
   void RecordNogoods(SearchStats* stats);
 
-  /// Fills the level's candidate buffer with data nodes consistent with
-  /// all already-mapped query neighbors of plan node `level`.
-  void GenerateCandidates(size_t level, SearchStats* stats);
+  /// Resumable candidate scan of one search level: the unread part of the
+  /// adjacency list of the anchor's image (a mapped backward neighbor of
+  /// the level's query node), with the edge labels alongside. Lives in the
+  /// level's Search frame, so each thread's scans stay on its own stack.
+  struct LevelScan {
+    const graph::NodeId* next = nullptr;
+    const graph::NodeId* end = nullptr;
+    const graph::Label* next_edge_label = nullptr;
+    /// Index of the anchor within the level's backward neighbors.
+    size_t anchor_index = 0;
+  };
+
+  /// Starts the level's candidate scan over the adjacency of the mapped
+  /// backward neighbor whose image has the smallest degree.
+  LevelScan BeginScan(size_t level) const;
+
+  /// Resumes `scan` up to the next data node consistent with all
+  /// already-mapped query neighbors of plan node `level` (and, with
+  /// `check_signature`, satisfying its signature, Proposition 3.2). Returns
+  /// false once the adjacency is exhausted. Only the entries actually
+  /// scanned are counted in `stats`.
+  bool NextCandidate(size_t level, LevelScan& scan, bool check_signature,
+                     SearchStats* stats, graph::NodeId* out);
 
   bool IsUsed(graph::NodeId data_node, size_t level) const;
 

@@ -46,7 +46,8 @@ struct SearchScratch {
   /// mapped_stack[i] = data node mapped at plan level i (used checks).
   std::vector<graph::NodeId> mapped_stack;
 
-  /// Per-level candidate buffers.
+  /// Per-level candidate buffers: the candidates a level has visited so
+  /// far, or its whole (ranked or shuffled) list in modes that reorder it.
   std::vector<std::vector<graph::NodeId>> level_candidates;
 
   /// level_index[i] = index into level_candidates[i] of the candidate

@@ -11,11 +11,14 @@ namespace psi::match {
 struct SearchStats {
   /// Recursive search calls (≈ partial mappings attempted).
   uint64_t recursive_calls = 0;
-  /// Candidate data nodes examined across all levels.
+  /// Candidate data nodes examined across all levels. PsiEvaluator scans
+  /// candidates lazily, so this counts only the adjacency entries it
+  /// actually read (plus one per evaluated pivot), not whole lists.
   uint64_t candidates_examined = 0;
-  /// Signature satisfaction tests performed (pessimist).
+  /// Signature satisfaction tests performed (pessimist): one per
+  /// consistent candidate the scan reached, plus pivot checks.
   uint64_t signature_checks = 0;
-  /// Candidates pruned by a failed satisfaction test.
+  /// Candidates pruned by a failed satisfaction test, among those checked.
   uint64_t pruned_by_signature = 0;
   /// Candidate-list sorts performed (optimist).
   uint64_t score_sorts = 0;

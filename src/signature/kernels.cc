@@ -81,23 +81,9 @@ size_t FilterCandidates(const SignatureMatrix& sigs,
   assert(sigs.num_labels() == req.dim());
   // An all-zero requirement constrains nothing; skip the row sweep.
   if (req.nnz() == 0) return 0;
-  const CompactSignatureMatrix* compact = sigs.compact();
   size_t kept = 0;
-  if (compact != nullptr) {
-    // Quantized prescreen first (8-bit row sweep), exact float re-check on
-    // survivors only. The prescreen never rejects a float-satisfying row
-    // (over-admit contract), so this branch keeps exactly the same
-    // candidates in the same order as the float-only branch below.
-    for (const graph::NodeId c : candidates) {
-      if (internal::CompactRowMaySatisfy(compact->row(c), req) &&
-          internal::RowSatisfies(sigs.row(c), req)) {
-        candidates[kept++] = c;
-      }
-    }
-  } else {
-    for (const graph::NodeId c : candidates) {
-      if (internal::RowSatisfies(sigs.row(c), req)) candidates[kept++] = c;
-    }
+  for (const graph::NodeId c : candidates) {
+    if (CandidateSatisfies(sigs, req, c)) candidates[kept++] = c;
   }
   const size_t pruned = candidates.size() - kept;
   candidates.resize(kept);
@@ -175,9 +161,6 @@ void ScoreAndRank(const SignatureMatrix& sigs, const SparseRequirement& req,
                   std::vector<graph::NodeId>& candidates, RankScratch& scratch,
                   size_t k, RankMode mode) {
   assert(sigs.num_labels() == req.dim());
-  if (mode == RankMode::kCapFirst && k > 0 && candidates.size() > k) {
-    candidates.resize(k);
-  }
   const size_t n = candidates.size();
   if (n <= 1) return;
   if (mode == RankMode::kTopKByScore && k > 0 && k < n) {

@@ -27,17 +27,19 @@ namespace psi::signature {
 /// supports them (runtime dispatch; scalar fallback otherwise).
 bool KernelsUseAvx2();
 
-/// Removes the candidates whose signature rows do not satisfy `req`
-/// (Proposition 3.2), in place and order-preserving. Returns the number of
-/// candidates pruned. Decisions are bit-identical to calling the scalar
-/// Satisfies(sigs.row(c), required) per candidate.
-///
-/// When `sigs` carries an attached CompactSignatureMatrix, each row is
-/// prescreened against the requirement's quantized threshold codes — an
-/// 8-bit sweep that rejects most non-satisfying rows without touching their
-/// floats — and only prescreen survivors run the exact float test. The
-/// prescreen can only over-admit (compact_signature.h), so the kept set is
-/// still byte-identical to the float-only path.
+/// The Proposition 3.2 test for one candidate: true iff row `c` of `sigs`
+/// satisfies `req`, bit-identical to the scalar Satisfies(sigs.row(c),
+/// required). When `sigs` carries an attached CompactSignatureMatrix, the
+/// row is first prescreened against the requirement's quantized threshold
+/// codes — an 8-bit compare that rejects most non-satisfying rows without
+/// touching their floats — and only prescreen survivors run the exact
+/// float test. The prescreen can only over-admit (compact_signature.h), so
+/// the decision is the float-only one either way. Defined below.
+bool CandidateSatisfies(const SignatureMatrix& sigs,
+                        const SparseRequirement& req, graph::NodeId c);
+
+/// Removes the candidates that fail CandidateSatisfies, in place and
+/// order-preserving. Returns the number of candidates pruned.
 size_t FilterCandidates(const SignatureMatrix& sigs,
                         const SparseRequirement& req,
                         std::vector<graph::NodeId>& candidates);
@@ -54,10 +56,6 @@ void ScoreCandidates(const SignatureMatrix& sigs, const SparseRequirement& req,
 enum class RankMode {
   /// Rank the whole list; `k` is ignored.
   kFull,
-  /// Truncate to the *first* k candidates (the super-optimist's cap,
-  /// Algorithm 1 line 4 — applied before sorting so sorting work is
-  /// bounded too), then rank those.
-  kCapFirst,
   /// Keep the k *best-scoring* candidates via a bounded partial-sort
   /// (ties broken by original position). Equivalent to the first k
   /// entries of a kFull ranking, computed in O(n log k).
@@ -118,6 +116,18 @@ bool CompactRowMaySatisfyAvx2(const uint8_t* row, const uint8_t* tcodes,
 #endif
 
 }  // namespace internal
+
+inline bool CandidateSatisfies(const SignatureMatrix& sigs,
+                               const SparseRequirement& req, graph::NodeId c) {
+  // An all-zero requirement constrains nothing; skip the row reads.
+  if (req.nnz() == 0) return true;
+  const CompactSignatureMatrix* compact = sigs.compact();
+  if (compact != nullptr &&
+      !internal::CompactRowMaySatisfy(compact->row(c), req)) {
+    return false;
+  }
+  return internal::RowSatisfies(sigs.row(c), req);
+}
 
 }  // namespace psi::signature
 

@@ -134,7 +134,7 @@ TEST_F(FsmServiceTest, ServedMinerIsDeterministicAcrossThreadCounts) {
   // num_threads parallelizes canonicalization; num_workers the service's
   // evaluation. The mined list (patterns, order, exact-MNI supports) must
   // not depend on either.
-  for (const auto [threads, workers] :
+  for (const auto& [threads, workers] :
        {std::pair<size_t, size_t>{1, 1}, {4, 1}, {1, 3}, {4, 3}}) {
     service::ServiceOptions options;
     options.num_workers = workers;

@@ -155,8 +155,9 @@ TEST(WorkStealingTest, ImbalancedWorkProvokesSteals) {
       RunWorkStealing(64, 4, nullptr, [&](size_t item, size_t) {
         if (item < 16) {
           // Busy-spin to hold the first range's owner occupied.
-          for (volatile int spin = 0; spin < 50000; ++spin) {
-        }
+          for (volatile int spin = 0; spin < 50000;) {
+            spin = spin + 1;
+          }
         }
         done.fetch_add(1, std::memory_order_relaxed);
       });

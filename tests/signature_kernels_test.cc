@@ -219,27 +219,6 @@ TEST(ScoreAndRankTest, StableOnTies) {
   EXPECT_EQ(candidates, (std::vector<graph::NodeId>{1, 0, 2, 5, 4, 3}));
 }
 
-TEST(ScoreAndRankTest, CapFirstTruncatesThenRanks) {
-  util::Rng rng(19);
-  for (int trial = 0; trial < 20; ++trial) {
-    const size_t labels = 1 + rng.NextBounded(16);
-    const size_t rows = 2 + rng.NextBounded(120);
-    const size_t k = 1 + rng.NextBounded(rows + 5);  // sometimes k > rows
-    const auto required = MakeRandomRequired(labels, rng, 0.5);
-    const SignatureMatrix m = MakeRandomMatrix(rows, labels, required, rng);
-    const SparseRequirement req(required);
-
-    std::vector<graph::NodeId> batched = AllRows(rows);
-    RankScratch scratch;
-    ScoreAndRank(m, req, batched, scratch, k, RankMode::kCapFirst);
-
-    std::vector<graph::NodeId> reference = AllRows(rows);
-    if (reference.size() > k) reference.resize(k);
-    reference = ReferenceRank(m, required, std::move(reference));
-    EXPECT_EQ(batched, reference) << "trial " << trial << " k=" << k;
-  }
-}
-
 TEST(ScoreAndRankTest, TopKEqualsPrefixOfFullRank) {
   util::Rng rng(23);
   for (int trial = 0; trial < 30; ++trial) {
