@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <span>
 
 #include "signature/kernels.h"
-#include "util/random.h"
 
 namespace psi::match {
 
@@ -77,19 +75,10 @@ void PsiEvaluator::BindQuery(const graph::QueryGraph& q,
   s.mapping.assign(n, graph::kInvalidNode);
   s.mapped_stack.assign(n, graph::kInvalidNode);
   s.level_candidates.resize(n);
-  s.level_index.assign(n, 0);
   s.level_reqs.resize(n);
   for (size_t level = 0; level < n; ++level) {
     s.level_reqs[level].Assign(query_sigs.row(s.plan.order[level]));
   }
-
-  // Nogood prefixes are positional in the plan order, so the scoping tag
-  // covers both the query's structure and the exact matching order.
-  uint64_t tag = q.Fingerprint();
-  for (const graph::NodeId v : s.plan.order) {
-    tag ^= (tag << 6) + (tag >> 2) + 0x9e3779b97f4a7c15ULL + v;
-  }
-  binding_tag_ = tag;
 }
 
 bool PsiEvaluator::IsUsed(graph::NodeId data_node, size_t level) const {
@@ -141,8 +130,7 @@ PsiEvaluator::LevelScan PsiEvaluator::BeginScan(size_t level) const {
 }
 
 bool PsiEvaluator::NextCandidate(size_t level, LevelScan& scan,
-                                 bool check_signature, SearchStats* stats,
-                                 graph::NodeId* out) {
+                                 SearchStats* stats, graph::NodeId* out) {
   const SearchScratch& s = *scratch_;
   const BackwardNeighbor* anchors =
       s.backward_flat.data() + s.backward_offsets[level];
@@ -173,19 +161,20 @@ bool PsiEvaluator::NextCandidate(size_t level, LevelScan& scan,
       }
     }
     if (!consistent) continue;
-    if (check_signature) {
-      // Line 7 (pessimist): prune candidates whose neighborhood signature
-      // cannot satisfy the query node's signature (Proposition 3.2).
-      if (stats != nullptr) ++stats->signature_checks;
-      if (!signature::CandidateSatisfies(graph_sigs_, s.level_reqs[level],
-                                         c)) {
-        if (stats != nullptr) ++stats->pruned_by_signature;
-        continue;
-      }
-    }
     *out = c;
     return true;
   }
+  return false;
+}
+
+bool PsiEvaluator::SatisfiesSignature(size_t level, graph::NodeId candidate,
+                                      SearchStats* stats) const {
+  if (stats != nullptr) ++stats->signature_checks;
+  if (signature::CandidateSatisfies(graph_sigs_, scratch_->level_reqs[level],
+                                    candidate)) {
+    return true;
+  }
+  if (stats != nullptr) ++stats->pruned_by_signature;
   return false;
 }
 
@@ -199,133 +188,62 @@ Outcome PsiEvaluator::Search(size_t level, const Options& options,
   // Line 1: full mapping -> a first embedding exists; PSI stops here.
   if (level == s.plan.size()) return Outcome::kValid;
 
-  // Luby budget (restart runs only): charge one node per call. Checked
-  // after the full-mapping test so a completed embedding always reports
-  // kValid even on the run's last node.
-  if (budget_limited_) {
-    if (budget_remaining_ == 0) return Outcome::kBudgetExhausted;
-    if (--budget_remaining_ == 0) {
-      RecordNogoods(stats);
-      return Outcome::kBudgetExhausted;
+  LevelScan scan = BeginScan(level);
+  graph::NodeId c = graph::kInvalidNode;
+  if (options.mode == PsiMode::kPessimistic) {
+    // The pessimist visits each candidate as soon as the scan yields it,
+    // so the first embedding also ends the scan. Line 7: prune candidates
+    // whose neighborhood signature cannot satisfy the query node's.
+    while (NextCandidate(level, scan, stats, &c)) {
+      if (!SatisfiesSignature(level, c, stats)) continue;
+      const Outcome result = Visit(level, c, options, stats);
+      if (result != Outcome::kInvalid) return result;
     }
+    return Outcome::kInvalid;
   }
 
-  const graph::NodeId v = s.plan.order[level];
+  // The optimists rank their candidates and so take them up front. Line 4
+  // (super optimist): only the first super_optimistic_limit candidates are
+  // kept, so the scan stops there and sorting work is bounded too.
   auto& candidates = s.level_candidates[level];
   candidates.clear();
-  LevelScan scan = BeginScan(level);
-  const bool pessimist = options.mode == PsiMode::kPessimistic;
-  // The plain pessimist visits each candidate as soon as the scan yields
-  // it, so the first embedding also ends the scan. Every other run reorders
-  // its candidates and so takes them up front: the optimists rank them and
-  // restart runs shuffle them.
-  const bool streaming = pessimist && perturb_seed_ == 0;
-  if (!streaming) {
-    // Line 4 (super optimist): only the first super_optimistic_limit
-    // candidates are kept, so the scan stops there and sorting work is
-    // bounded too.
-    const size_t limit = options.mode == PsiMode::kSuperOptimistic
-                             ? options.super_optimistic_limit
-                             : SIZE_MAX;
-    graph::NodeId c = graph::kInvalidNode;
-    while (candidates.size() < limit &&
-           NextCandidate(level, scan, pessimist, stats, &c)) {
-      candidates.push_back(c);
-    }
-    if (pessimist) {
-      // Restart runs past the first perturb the value ordering so a rerun
-      // explores the heavy-tailed space in a different order (the point of
-      // restarting). The pessimist's base order carries no heuristic, so
-      // shuffling loses nothing.
-      if (candidates.size() > 1) {
-        util::Rng rng(perturb_seed_ ^
-                      (0x9e3779b97f4a7c15ULL *
-                       (static_cast<uint64_t>(level) + 1)));
-        util::Shuffle(candidates, rng);
-      }
-    } else if (candidates.size() > 1) {
-      // Line 5 (optimist): visit high satisfiability scores first.
-      signature::ScoreAndRank(graph_sigs_, s.level_reqs[level], candidates,
-                              s.rank);
-      if (stats != nullptr) ++stats->score_sorts;
-    }
+  const size_t limit = options.mode == PsiMode::kSuperOptimistic
+                           ? options.super_optimistic_limit
+                           : SIZE_MAX;
+  while (candidates.size() < limit &&
+         NextCandidate(level, scan, stats, &c)) {
+    candidates.push_back(c);
   }
-
-  const bool consult_nogoods = nogoods_ != nullptr && !nogoods_->empty() &&
-                               level + 1 <= nogoods_->limits().max_prefix_length;
-  for (size_t idx = 0;; ++idx) {
-    if (idx == candidates.size()) {
-      // Every visited candidate stays in the buffer: RecordNogoods reads
-      // the exhausted prefix [0, level_index) back from it.
-      graph::NodeId next = graph::kInvalidNode;
-      if (!streaming || !NextCandidate(level, scan, true, stats, &next)) {
-        break;
-      }
-      candidates.push_back(next);
-    }
-    const graph::NodeId c = candidates[idx];
-    s.level_index[level] = idx;
-    if (consult_nogoods &&
-        nogoods_->Contains({s.mapped_stack.data(), level}, c)) {
-      // A previous run exhausted this assignment's subtree; skipping it is
-      // as sound as having searched it again.
-      if (stats != nullptr) ++stats->nogood_hits;
-      continue;
-    }
-    s.mapping[v] = c;
-    s.mapped_stack[level] = c;
-    const Outcome result = Search(level + 1, options, stats);
-    s.mapping[v] = graph::kInvalidNode;
-    s.mapped_stack[level] = graph::kInvalidNode;
+  if (candidates.size() > 1) {
+    // Line 5 (optimist): visit high satisfiability scores first.
+    signature::ScoreAndRank(graph_sigs_, s.level_reqs[level], candidates,
+                            s.rank);
+    if (stats != nullptr) ++stats->score_sorts;
+  }
+  // `candidates` belongs to this level, which deeper levels never touch.
+  for (const graph::NodeId candidate : candidates) {
+    const Outcome result = Visit(level, candidate, options, stats);
     if (result != Outcome::kInvalid) return result;
-    // `candidates` and the scan belong to this level, which deeper levels
-    // never touch — safe to continue.
   }
   return Outcome::kInvalid;
 }
 
-Outcome PsiEvaluator::RunFromPivot(graph::NodeId candidate,
-                                   const Options& options,
-                                   SearchStats* stats) {
+Outcome PsiEvaluator::Visit(size_t level, graph::NodeId candidate,
+                            const Options& options, SearchStats* stats) {
   SearchScratch& s = *scratch_;
-  const graph::NodeId pivot = query_->pivot();
-  s.mapping[pivot] = candidate;
-  s.mapped_stack[0] = candidate;
-  const Outcome result = Search(1, options, stats);
-  s.mapping[pivot] = graph::kInvalidNode;
-  s.mapped_stack[0] = graph::kInvalidNode;
+  const graph::NodeId v = s.plan.order[level];
+  s.mapping[v] = candidate;
+  s.mapped_stack[level] = candidate;
+  const Outcome result = Search(level + 1, options, stats);
+  s.mapping[v] = graph::kInvalidNode;
+  s.mapped_stack[level] = graph::kInvalidNode;
   return result;
-}
-
-void PsiEvaluator::RecordNogoods(SearchStats* stats) {
-  if (nogoods_ == nullptr) return;
-  SearchScratch& s = *scratch_;
-  const size_t n = s.plan.size();
-  const size_t max_len = nogoods_->limits().max_prefix_length;
-  // Walk the live search path. At each active level the candidates before
-  // level_index[level] were either exhaustively refuted this run or pruned
-  // by an earlier nogood — either way their subtrees are proven empty, so
-  // (mapped_stack[0..level-1], sibling) is a sound nogood.
-  for (size_t level = 1; level < n; ++level) {
-    if (s.mapped_stack[level] == graph::kInvalidNode) break;
-    if (level + 1 > max_len) break;  // deeper prefixes only get longer
-    const std::span<const graph::NodeId> head(s.mapped_stack.data(), level);
-    const auto& candidates = s.level_candidates[level];
-    const size_t exhausted = std::min(s.level_index[level], candidates.size());
-    for (size_t idx = 0; idx < exhausted; ++idx) {
-      if (nogoods_->full()) return;
-      if (nogoods_->Record(head, candidates[idx]) && stats != nullptr) {
-        ++stats->nogoods_recorded;
-      }
-    }
-  }
 }
 
 Outcome PsiEvaluator::EvaluateNode(graph::NodeId candidate,
                                    const Options& options,
                                    SearchStats* stats) {
   assert(query_ != nullptr && "BindQuery first");
-  SearchScratch& s = *scratch_;
   const graph::NodeId pivot = query_->pivot();
   if (stats != nullptr) ++stats->candidates_examined;
   if (graph_.label(candidate) != query_->label(pivot)) {
@@ -334,49 +252,12 @@ Outcome PsiEvaluator::EvaluateNode(graph::NodeId candidate,
   if (graph_.degree(candidate) < query_->degree(pivot)) {
     return Outcome::kInvalid;
   }
-  if (options.mode == PsiMode::kPessimistic && !options.pivot_prefiltered) {
-    if (stats != nullptr) ++stats->signature_checks;
-    if (!signature::CandidateSatisfies(graph_sigs_, s.level_reqs[0],
-                                       candidate)) {
-      if (stats != nullptr) ++stats->pruned_by_signature;
-      return Outcome::kInvalid;
-    }
+  if (options.mode == PsiMode::kPessimistic && !options.pivot_prefiltered &&
+      !SatisfiesSignature(0, candidate, stats)) {
+    return Outcome::kInvalid;
   }
-
-  const bool restarting =
-      options.restarts.enabled && options.mode == PsiMode::kPessimistic;
-  if (!restarting) {
-    budget_limited_ = false;
-    perturb_seed_ = 0;
-    nogoods_ = nullptr;
-    return RunFromPivot(candidate, options, stats);
-  }
-
-  if (options.nogoods != nullptr) {
-    options.nogoods->EnsureBinding(binding_tag_);
-  }
-  for (size_t run = 0;; ++run) {
-    const uint64_t budget = options.restarts.BudgetForRun(run);
-    budget_limited_ = budget != 0;
-    budget_remaining_ = budget;
-    // Perturbation diversifies *budgeted* probes only. The final unlimited
-    // run reverts to the unperturbed baseline order, so its cost is the
-    // non-restarting search minus whatever the nogoods prune — restarts
-    // can never make the worst case more than the budgeted probes slower.
-    perturb_seed_ = budget_limited_
-                        ? PerturbationSeed(options.restarts, candidate, run)
-                        : 0;
-    nogoods_ = options.nogoods;
-    const Outcome outcome = RunFromPivot(candidate, options, stats);
-    budget_limited_ = false;
-    perturb_seed_ = 0;
-    nogoods_ = nullptr;
-    // BudgetForRun(run >= max_restarts) is 0 = unlimited, so the loop
-    // always terminates with a definite (or timeout/stop) outcome —
-    // kBudgetExhausted never escapes.
-    if (outcome != Outcome::kBudgetExhausted) return outcome;
-    if (stats != nullptr) ++stats->restarts;
-  }
+  // Plan level 0 is the pivot.
+  return Visit(0, candidate, options, stats);
 }
 
 Outcome PsiEvaluator::EvaluateNodeOptimisticStrategy(graph::NodeId candidate,

@@ -5,9 +5,7 @@
 
 #include "graph/graph.h"
 #include "graph/query_graph.h"
-#include "match/nogood_store.h"
 #include "match/plan.h"
-#include "match/restart_policy.h"
 #include "match/search_scratch.h"
 #include "match/search_stats.h"
 #include "signature/signature_matrix.h"
@@ -45,8 +43,8 @@ const char* PsiModeName(PsiMode mode);
 /// Each search level scans the adjacency of one mapped neighbor's image
 /// and resumes that scan only when it needs another candidate: the
 /// pessimist visits a candidate as soon as it passes the signature check,
-/// and the super-optimist stops at its cap; only the full optimist and
-/// restart runs drain the scan, to rank or shuffle the whole list.
+/// and the super-optimist stops at its cap; only the full optimist drains
+/// the scan, to rank the whole list.
 /// Signature work runs through src/signature/kernels.h over sparse
 /// per-query-node requirement views, so satisfaction tests and score
 /// ranking cost O(nnz) per candidate (DESIGN.md §9).
@@ -70,17 +68,6 @@ class PsiEvaluator {
     bool pivot_prefiltered = false;
     util::Deadline deadline;
     util::StopToken stop;
-    /// Luby restarts for the pessimistic refutation search (ignored by the
-    /// optimist modes, whose score-guided order *is* the heuristic). The
-    /// final run is budget-unlimited, so enabling restarts never changes
-    /// the answer — only the order the space is explored in.
-    RestartOptions restarts;
-    /// Optional conflict store consulted and fed by restart runs. Must
-    /// belong to this thread; the evaluator calls EnsureBinding() with a
-    /// (query, plan) tag on every restarting evaluation, so entries can
-    /// never be applied under a binding other than the one that recorded
-    /// them.
-    NogoodStore* nogoods = nullptr;
   };
 
   /// `graph_sigs` must have one row per node of `g`. Both must outlive the
@@ -122,15 +109,10 @@ class PsiEvaluator {
  private:
   Outcome Search(size_t level, const Options& options, SearchStats* stats);
 
-  /// One search run from an already-validated pivot binding (the body the
-  /// restart loop reruns).
-  Outcome RunFromPivot(graph::NodeId candidate, const Options& options,
-                       SearchStats* stats);
-
-  /// Harvests nogood prefixes from the live search stack at the moment a
-  /// node budget runs out: for every active level, each already-exhausted
-  /// sibling candidate heads a subtree proven empty.
-  void RecordNogoods(SearchStats* stats);
+  /// Maps plan node `level` to `candidate`, searches the levels below, and
+  /// unmaps it again.
+  Outcome Visit(size_t level, graph::NodeId candidate, const Options& options,
+                SearchStats* stats);
 
   /// Resumable candidate scan of one search level: the unread part of the
   /// adjacency list of the anchor's image (a mapped backward neighbor of
@@ -149,12 +131,16 @@ class PsiEvaluator {
   LevelScan BeginScan(size_t level) const;
 
   /// Resumes `scan` up to the next data node consistent with all
-  /// already-mapped query neighbors of plan node `level` (and, with
-  /// `check_signature`, satisfying its signature, Proposition 3.2). Returns
-  /// false once the adjacency is exhausted. Only the entries actually
-  /// scanned are counted in `stats`.
-  bool NextCandidate(size_t level, LevelScan& scan, bool check_signature,
-                     SearchStats* stats, graph::NodeId* out);
+  /// already-mapped query neighbors of plan node `level`. Returns false
+  /// once the adjacency is exhausted. Only the entries actually scanned are
+  /// counted in `stats`.
+  bool NextCandidate(size_t level, LevelScan& scan, SearchStats* stats,
+                     graph::NodeId* out);
+
+  /// Proposition 3.2: whether `candidate`'s neighborhood signature can
+  /// satisfy the signature of plan node `level`.
+  bool SatisfiesSignature(size_t level, graph::NodeId candidate,
+                          SearchStats* stats) const;
 
   bool IsUsed(graph::NodeId data_node, size_t level) const;
 
@@ -174,14 +160,6 @@ class PsiEvaluator {
   SearchScratch* scratch_;
 
   uint32_t steps_until_check_ = kCheckInterval;
-
-  /// Restart-run state, set by EvaluateNode around each RunFromPivot call.
-  bool budget_limited_ = false;
-  uint64_t budget_remaining_ = 0;
-  uint64_t perturb_seed_ = 0;
-  NogoodStore* nogoods_ = nullptr;
-  /// Identifies the bound (query, plan) for nogood scoping.
-  uint64_t binding_tag_ = 0;
 };
 
 }  // namespace psi::match

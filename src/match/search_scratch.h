@@ -46,15 +46,9 @@ struct SearchScratch {
   /// mapped_stack[i] = data node mapped at plan level i (used checks).
   std::vector<graph::NodeId> mapped_stack;
 
-  /// Per-level candidate buffers: the candidates a level has visited so
-  /// far, or its whole (ranked or shuffled) list in modes that reorder it.
+  /// Per-level candidate buffers of the optimist modes: the ranked list a
+  /// level visits (the pessimist streams its candidates and needs none).
   std::vector<std::vector<graph::NodeId>> level_candidates;
-
-  /// level_index[i] = index into level_candidates[i] of the candidate
-  /// currently mapped at level i. Lets the restart machinery read off the
-  /// exhausted siblings of every active level (the nogood prefixes) at the
-  /// moment a budget runs out, before the stack unwinds.
-  std::vector<size_t> level_index;
 
   /// level_reqs[i] = sparse view of the query signature row of plan node i
   /// (shared by the satisfaction filter and the score ranking).

@@ -95,11 +95,6 @@ void MetricsRegistry::RecordOutcome(const QueryResponse& response,
                                   std::memory_order_relaxed);
   cache_mismatches_.fetch_add(response.cache_mismatches,
                               std::memory_order_relaxed);
-  search_restarts_.fetch_add(response.search_restarts,
-                             std::memory_order_relaxed);
-  nogoods_recorded_.fetch_add(response.nogoods_recorded,
-                              std::memory_order_relaxed);
-  nogood_hits_.fetch_add(response.nogood_hits, std::memory_order_relaxed);
   work_steals_.fetch_add(response.work_steals, std::memory_order_relaxed);
   if (response.served_degraded) {
     degraded_requests_.fetch_add(1, std::memory_order_relaxed);
@@ -127,9 +122,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   s.candidates_evaluated =
       candidates_evaluated_.load(std::memory_order_relaxed);
   s.cache_mismatches = cache_mismatches_.load(std::memory_order_relaxed);
-  s.search_restarts = search_restarts_.load(std::memory_order_relaxed);
-  s.nogoods_recorded = nogoods_recorded_.load(std::memory_order_relaxed);
-  s.nogood_hits = nogood_hits_.load(std::memory_order_relaxed);
   s.work_steals = work_steals_.load(std::memory_order_relaxed);
   s.degraded_entries = degraded_entries_.load(std::memory_order_relaxed);
   s.degraded_exits = degraded_exits_.load(std::memory_order_relaxed);
@@ -159,10 +151,7 @@ std::string MetricsSnapshot::ToString() const {
       << " plan_fallbacks=" << plan_fallbacks
       << " candidates=" << candidates_evaluated
       << " cache_mismatches=" << cache_mismatches << "\n"
-      << "search: restarts=" << search_restarts
-      << " nogoods_recorded=" << nogoods_recorded
-      << " nogood_hits=" << nogood_hits << " work_steals=" << work_steals
-      << "\n"
+      << "search: work_steals=" << work_steals << "\n"
       << "degradation: entries=" << degraded_entries
       << " exits=" << degraded_exits
       << " degraded_requests=" << degraded_requests

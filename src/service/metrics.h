@@ -70,11 +70,8 @@ struct MetricsSnapshot {
   /// the poisoning signal (answers stay exact; see PsiQueryResult).
   uint64_t cache_mismatches = 0;
 
-  // Search-core activity (Luby restarts, nogood recording, work stealing —
-  // DESIGN.md §14), aggregated across requests.
-  uint64_t search_restarts = 0;
-  uint64_t nogoods_recorded = 0;
-  uint64_t nogood_hits = 0;
+  // Work-stealing parallel search (DESIGN.md §14), aggregated across
+  // requests.
   uint64_t work_steals = 0;
 
   // Graceful degradation (DESIGN.md §11).
@@ -215,9 +212,6 @@ class MetricsRegistry {
   std::atomic<uint64_t> method_recoveries_{0};
   std::atomic<uint64_t> plan_fallbacks_{0};
   std::atomic<uint64_t> candidates_evaluated_{0};
-  std::atomic<uint64_t> search_restarts_{0};
-  std::atomic<uint64_t> nogoods_recorded_{0};
-  std::atomic<uint64_t> nogood_hits_{0};
   std::atomic<uint64_t> work_steals_{0};
   std::atomic<uint64_t> batch_submitted_{0};
   std::atomic<uint64_t> batch_rejected_{0};

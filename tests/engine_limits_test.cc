@@ -103,34 +103,6 @@ TEST_F(EngineLimitsTest, MaxEmbeddingsAcrossEngines) {
   ExpectMaxEmbeddingsTruncates<Vf2Engine>(g_, q_);
 }
 
-// Restart budgets interact with deadlines but never with truthfulness
-// (DESIGN.md §14): without a deadline the final unbudgeted run completes
-// the enumeration exactly; with an expired deadline the run is censored
-// as a timeout, and the restart loop must not re-launch past it.
-TEST_F(EngineLimitsTest, RestartBudgetsKeepCompleteFlagTruthful) {
-  SubgraphEnumerator enumerator(g_);
-  const Plan plan = MakeHeuristicPlan(q_, g_, q_.pivot());
-
-  SubgraphEnumerator::Options plain;
-  const auto expected = enumerator.ProjectPivot(q_, plan, plain);
-  ASSERT_TRUE(expected.complete);
-
-  SubgraphEnumerator::Options restarting;
-  restarting.restarts.enabled = true;
-  restarting.restarts.unit_nodes = 1;  // every budgeted run exhausts
-  restarting.restarts.max_restarts = 3;
-  SearchStats stats;
-  const auto exact = enumerator.ProjectPivot(q_, plan, restarting, &stats);
-  EXPECT_TRUE(exact.complete);
-  EXPECT_EQ(exact.pivot_matches, expected.pivot_matches);
-  EXPECT_EQ(stats.restarts, restarting.restarts.max_restarts);
-
-  SubgraphEnumerator::Options doomed = restarting;
-  doomed.deadline = util::Deadline::After(-1.0);
-  const auto censored = enumerator.ProjectPivot(q_, plan, doomed);
-  EXPECT_FALSE(censored.complete);
-}
-
 TEST_F(EngineLimitsTest, StopTokenCancelsEnumeration) {
   util::StopSource source;
   source.RequestStop();
@@ -142,7 +114,7 @@ TEST_F(EngineLimitsTest, StopTokenCancelsEnumeration) {
 }
 
 // The Realist's training phase runs its ground-truth nodes across the
-// engine's work-stealing workers (DESIGN.md §14.3). A deadline or a stop
+// engine's work-stealing workers (DESIGN.md §14.1). A deadline or a stop
 // that lands mid-training must abort every worker: the result is marked
 // incomplete, holds only proven answers, and arrives within a bounded
 // overrun. Every candidate is a training node here (train_fraction = 1)
@@ -253,9 +225,6 @@ TEST(SearchStatsTest, AggregationSumsAllCounters) {
   a.pruned_by_signature = 4;
   a.score_sorts = 5;
   a.embeddings_found = 6;
-  a.restarts = 7;
-  a.nogoods_recorded = 8;
-  a.nogood_hits = 9;
   a.work_steals = 10;
   SearchStats b = a;
   b += a;
@@ -265,9 +234,6 @@ TEST(SearchStatsTest, AggregationSumsAllCounters) {
   EXPECT_EQ(b.pruned_by_signature, 8u);
   EXPECT_EQ(b.score_sorts, 10u);
   EXPECT_EQ(b.embeddings_found, 12u);
-  EXPECT_EQ(b.restarts, 14u);
-  EXPECT_EQ(b.nogoods_recorded, 16u);
-  EXPECT_EQ(b.nogood_hits, 18u);
   EXPECT_EQ(b.work_steals, 20u);
 }
 
@@ -276,7 +242,6 @@ TEST(OutcomeTest, Names) {
   EXPECT_STREQ(OutcomeName(Outcome::kInvalid), "invalid");
   EXPECT_STREQ(OutcomeName(Outcome::kTimeout), "timeout");
   EXPECT_STREQ(OutcomeName(Outcome::kStopped), "stopped");
-  EXPECT_STREQ(OutcomeName(Outcome::kBudgetExhausted), "budget-exhausted");
   EXPECT_STREQ(PsiModeName(PsiMode::kOptimistic), "optimistic");
   EXPECT_STREQ(PsiModeName(PsiMode::kSuperOptimistic), "super-optimistic");
   EXPECT_STREQ(PsiModeName(PsiMode::kPessimistic), "pessimistic");

@@ -171,8 +171,7 @@ TEST(MetricsSnapshotTest, ToStringMentionsEverySection) {
   const std::string text = metrics.Snapshot().ToString();
   EXPECT_NE(text.find("admitted=1"), std::string::npos);
   EXPECT_NE(text.find("completed=1"), std::string::npos);
-  EXPECT_NE(text.find("search: restarts="), std::string::npos);
-  EXPECT_NE(text.find("work_steals="), std::string::npos);
+  EXPECT_NE(text.find("search: work_steals="), std::string::npos);
   EXPECT_NE(text.find("p99="), std::string::npos);
 }
 
@@ -195,9 +194,6 @@ TEST(MetricsSnapshotTest, ToStringEmitsEveryCounter) {
   s.plan_fallbacks = 11;
   s.candidates_evaluated = 12;
   s.cache_mismatches = 13;
-  s.search_restarts = 14;
-  s.nogoods_recorded = 15;
-  s.nogood_hits = 16;
   s.work_steals = 17;
   s.degraded_entries = 18;
   s.degraded_exits = 19;
@@ -222,16 +218,14 @@ TEST(MetricsSnapshotTest, ToStringEmitsEveryCounter) {
       "invalid=7",           "not_found=8",
       "cache_hits=9",        "method_recoveries=10",
       "plan_fallbacks=11",   "candidates=12",
-      "cache_mismatches=13", "restarts=14",
-      "nogoods_recorded=15", "nogood_hits=16",
-      "work_steals=17",      "entries=18",
-      "exits=19",            "degraded_requests=20",
-      "cache_bypass_entries=21", "cache_bypass_exits=22",
-      "publishes=23",        "swaps=24",
-      "retires=25",          "publish_failures=26",
-      "batch_submitted=27",  "batch_rejected=28",
-      "batch_queries=29",    "batch_context_hits=30",
-      "batch_degraded=31",
+      "cache_mismatches=13", "work_steals=17",
+      "entries=18",          "exits=19",
+      "degraded_requests=20", "cache_bypass_entries=21",
+      "cache_bypass_exits=22", "publishes=23",
+      "swaps=24",            "retires=25",
+      "publish_failures=26", "batch_submitted=27",
+      "batch_rejected=28",   "batch_queries=29",
+      "batch_context_hits=30", "batch_degraded=31",
   };
   for (const std::string& label : expected) {
     EXPECT_NE(text.find(label), std::string::npos)
@@ -261,18 +255,12 @@ TEST(MetricsRegistryTest, BatchRecordersAccumulate) {
 TEST(MetricsSnapshotTest, SearchCoreCountersAggregate) {
   MetricsRegistry metrics;
   QueryResponse response = MakeResponse(RequestStatus::kOk, 1e-3);
-  response.search_restarts = 3;
-  response.nogoods_recorded = 5;
-  response.nogood_hits = 7;
   response.work_steals = 11;
   metrics.RecordAdmitted();
   metrics.RecordOutcome(response);
   metrics.RecordAdmitted();
   metrics.RecordOutcome(response);
   const MetricsSnapshot s = metrics.Snapshot();
-  EXPECT_EQ(s.search_restarts, 6u);
-  EXPECT_EQ(s.nogoods_recorded, 10u);
-  EXPECT_EQ(s.nogood_hits, 14u);
   EXPECT_EQ(s.work_steals, 22u);
 }
 

@@ -103,9 +103,7 @@ void Usage() {
       "                        Submit for a batching-speedup figure); not\n"
       "                        with --chaos, --stress or --swap-storm\n"
       "  --search-threads N    work-stealing workers per query evaluation\n"
-      "                        (default 1 = sequential)\n"
-      "  --restarts on|off     Luby restarts + nogood recording on the\n"
-      "                        pessimistic search paths (default off)\n";
+      "                        (default 1 = sequential)\n";
 }
 
 struct RunReport {
@@ -648,8 +646,7 @@ int main(int argc, char** argv) {
                       "--unique",          "--deadline-ms-min",
                       "--deadline-ms-max", "--method",   "--depth",
                       "--seed",            "--waves",    "--faults",
-                      "--swaps",           "--search-threads", "--restarts",
-                      "--batch"};
+                      "--swaps",           "--search-threads", "--batch"};
   arg_spec.max_positional = 1;
   const tools::ParsedArgs args = tools::ParseArgs(argc, argv, arg_spec);
   if (!args.ok()) {
@@ -754,16 +751,6 @@ int main(int argc, char** argv) {
     if (end == raw.c_str() || *end != '\0' || options.search_threads == 0) {
       std::cerr << "psi_loadgen: --search-threads wants a positive integer, "
                    "got '" << raw << "'\n";
-      return 2;
-    }
-  }
-  if (args.Has("--restarts")) {
-    const std::string raw = get("--restarts", "off");
-    if (raw == "on") {
-      options.search_restarts = true;
-    } else if (raw != "off") {
-      std::cerr << "psi_loadgen: --restarts wants on|off, got '" << raw
-                << "'\n";
       return 2;
     }
   }

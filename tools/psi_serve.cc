@@ -59,8 +59,6 @@ void Usage() {
       "  --seed S          RNG seed for --generate (default 42)\n"
       "  --search-threads N  work-stealing workers per query evaluation\n"
       "                    (default 1 = sequential)\n"
-      "  --restarts on|off Luby restarts + nogood recording on pessimistic\n"
-      "                    search paths (default off)\n"
       "  --quiet           suppress per-request lines, print stats only\n"
       "\n"
       "Admin commands (inline in the request stream):\n"
@@ -283,7 +281,7 @@ int main(int argc, char** argv) {
   arg_spec.switches = {"--quiet"};
   arg_spec.options = {"--generate", "--workload",    "--workers",
                       "--queue",    "--deadline-ms", "--depth",
-                      "--seed",     "--search-threads", "--restarts"};
+                      "--seed",     "--search-threads"};
   arg_spec.max_positional = 1;
   const tools::ParsedArgs args = tools::ParseArgs(argc, argv, arg_spec);
   if (!args.ok()) {
@@ -360,17 +358,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  bool search_restarts = false;
-  if (args.Has("--restarts")) {
-    const std::string raw = get("--restarts", "off");
-    if (raw == "on") {
-      search_restarts = true;
-    } else if (raw != "off") {
-      std::cerr << "psi_serve: --restarts wants on|off, got '" << raw
-                << "'\n";
-      return 2;
-    }
-  }
   // --- Service ------------------------------------------------------------
   service::ServiceOptions options;
   options.num_workers = num_workers;
@@ -378,7 +365,6 @@ int main(int argc, char** argv) {
   options.default_deadline_seconds = deadline_seconds;
   options.engine.signature_depth = depth;
   options.search_threads = search_threads;
-  options.search_restarts = search_restarts;
   service::PsiService psi_service(g, options);
   std::cerr << "Service: " << num_workers << " workers, queue bound "
             << max_queue_depth << ", signatures built in "
